@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import appsuite, dsl, normlab
+from . import appsuite, dsl
 from .errors import (EngineError, HypothesisViolation, IncompatibleSpaces,
                      NotIdentifiable, Unsupported)
 from .lemmas import (MinimizationInput, RealizationInput, minimize_phi,
@@ -216,6 +216,8 @@ def minimize(sigma: str, pi_: str, n: int, machine: bool) -> None:
 @click.option("--machine", is_flag=True)
 def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
              prelude_path, machine) -> None:
+    from . import normlab  # numpy loads only for this command
+
     try:
         space = dsl.parse_space(space_text, _load_prelude(prelude_path))
     except dsl.ParseError as exc:

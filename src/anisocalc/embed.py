@@ -307,8 +307,15 @@ def embeds_in(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> Decision:
         log.passed("identity embedding", "embed.identity")
         return log.decision()
 
-    # a Lebesgue source is the zero-order Bessel-potential space; dedicated
-    # target rules keep the adapted index and the r = oo endpoint
+    # a Lebesgue source is the zero-order Bessel-potential space (for
+    # 1 < p < oo only); dedicated target rules keep the adapted index and
+    # the r = oo endpoint
+    if src_n.scale is Scale.L and \
+            not (env.gt(src_n.x, 0) and env.lt(src_n.x, 1)):
+        log = ConditionLog()
+        log.check("Lebesgue source is H^0_p only for 1 < p < oo",
+                  "space.zero-order", False, f"source {src_n}")
+        return log.decision()
     src_eff = src_n.with_(scale=Scale.H) if src_n.scale is Scale.L else src_n
     key = (src_eff.scale, dst_n.scale)
     rule = _RULES.get(key)

@@ -1,12 +1,16 @@
 """Grammar, reports, machine output and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import anisocalc
 from anisocalc import AffineExpr, Scale, X
 from anisocalc.cli import main
 from anisocalc.dsl import (ParseError, format_query, parse_prelude,
@@ -175,6 +179,39 @@ def test_cli_exit_codes(tmp_path):
     assert bad.exit_code == 2
     hyp = runner.invoke(main, ["algebra", "H^{2,(2,1)}_4(JxSigma; Lp(Rdot)) ?"])
     assert hyp.exit_code == 3
+
+
+@pytest.mark.parametrize("p", ["1", "oo"])
+def test_cli_lebesgue_source_endpoint_not_covered(p):
+    # L^1 and L^oo are not zero-order Bessel-potential spaces: a failed
+    # condition and exit 1, not a traceback
+    res = CliRunner().invoke(
+        main, ["embed", f"L^{{(1)}}_{p}(R^2) -> L^{{(1)}}_2(R^2) ?", "--machine"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    doc = json.loads(res.stdout)
+    assert doc["verdict"] == "NOT_COVERED"
+    assert doc["first_failure"]["anchor"] == "space.zero-order"
+
+
+def test_cli_batch_continues_after_lebesgue_endpoint_source(tmp_path):
+    src = tmp_path / "queries.txt"
+    src.write_text("L^{(1)}_1(R^2) -> L^{(1)}_2(R^2) ?\n"
+                   "index H^{1,(1)}_2(R^2)\n")
+    res = CliRunner().invoke(main, ["batch", str(src), "--machine"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    docs = [json.loads(ln) for ln in res.stdout.splitlines()]
+    assert [d["kind"] for d in docs] == ["embed", "index"]
+    assert docs[0]["verdict"] == "NOT_COVERED"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the seminorm command needs the numeric lab
+    src = Path(anisocalc.__file__).parents[1]
+    code = ("import sys, anisocalc.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_batch_preserves_order(tmp_path):

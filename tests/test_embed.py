@@ -37,6 +37,17 @@ def test_identity_embedding():
     assert d.trace[0].anchor == "embed.identity"
 
 
+@pytest.mark.parametrize("x", [F(1), F(0)], ids=["p=1", "p=oo"])
+def test_lebesgue_source_outside_zero_order_range(x):
+    # only 1 < p < oo makes L^p the space H^0_p; the endpoints are refused
+    # with a failed condition instead of an exception
+    src = SpaceDescr.lebesgue(x, isotropic(2))
+    dst = SpaceDescr.lebesgue(F(1, 2), isotropic(2))
+    d = embeds(src, dst)
+    assert d.verdict is Verdict.NOT_COVERED
+    assert d.first_failure().anchor == "space.zero-order"
+
+
 def test_besov_into_bessel_potential_borderline():
     src = SpaceDescr.besov(3, F(1, 2), Anisotropy((1, 1), (1, 1)), F(1))
     dst = SpaceDescr.bessel(2, F(1, 3), Anisotropy((1, 1), (1, 1)))

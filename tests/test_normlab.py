@@ -1,16 +1,22 @@
 """Numerical seminorm probes: quadrature sanity and scaling laws."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anisocalc
 from anisocalc import (SCALARS, MultInstance, SpaceDescr, isotropic,
                        parabolic)
 from anisocalc.errors import (ResolutionError, UncoveredInstance, WrongScale)
 from anisocalc.normlab import (GaussianSpec, GridFunction,
-                               check_product_estimate,
+                               _difference_power_sum, check_product_estimate,
                                dilation_scaling_exponent, full_norm,
                                seminorm_besov, seminorm_slobodeckij)
 
@@ -58,6 +64,109 @@ def test_known_gaussian_value():
     exact = math.sqrt(2 * math.pi)
     assert abs(res.value - exact) <= 0.05 * exact
     assert res.truncation_error_estimate > 0
+
+
+def _spectral_seminorm(u: GridFunction, sigma: float) -> float:
+    """The W^sigma_2 seminorm on the line in Fourier form (Di Nezza,
+    Palatucci and Valdinoci 2012, Prop. 3.4):
+    sqrt(c(sigma) / (2 pi) * int |xi|^{2 sigma} |u^(xi)|^2 dxi) with
+    c(sigma) = 4 Gamma(1 - 2 sigma) cos(pi sigma) / (2 sigma), here written
+    as pi / (sigma sin(pi sigma) Gamma(2 sigma)) by the reflection formula,
+    which stays finite at sigma = 1/2 (c = 2 pi).  The transform is the FFT
+    of the samples zero-padded to at least 8 times their length."""
+    dx = u.spacings[0]
+    n = 1 << (8 * len(u.samples) - 1).bit_length()
+    uhat = np.fft.rfft(u.samples, n) * dx
+    xi = 2 * np.pi * np.fft.rfftfreq(n, d=dx)
+    both_signs = np.full(len(xi), 2.0)
+    both_signs[0] = both_signs[-1] = 1.0  # xi = 0 and the Nyquist frequency
+    integral = np.sum(both_signs * xi ** (2 * sigma) * np.abs(uhat) ** 2) * \
+        2 * np.pi / (n * dx)
+    c = math.pi / (sigma * math.sin(math.pi * sigma) * math.gamma(2 * sigma))
+    return math.sqrt(c / (2 * math.pi) * integral)
+
+
+@pytest.mark.parametrize("spec", [GaussianSpec((1.0,)),
+                                  GaussianSpec((1.0,), (3.0,))],
+                         ids=["plain", "modulated"])
+@pytest.mark.parametrize("s", [F(1, 4), F(1, 2), F(3, 4)])
+def test_spectral_oracle_at_p2(spec, s):
+    # the quadrature drops the core and the tail of the step-size integral,
+    # so it stays below the Fourier value by at most the reported truncation
+    u = spec.sample((1,), (0.02,), 12.0)
+    space = SpaceDescr.sobolev(s, F(1, 2), ISO1, SCALARS, "R^1")
+    res = seminorm_slobodeckij(u, space)
+    exact = _spectral_seminorm(u, float(s))
+    assert res.value <= exact
+    assert exact - res.value <= res.truncation_error_estimate + 1e-3 * exact
+
+
+def _padded_difference_power_sum(v, axes, shift, coeffs, p):
+    """Reference for ``_difference_power_sum``: zero-pad the slice axes past
+    the largest shift, then blend integer-shifted slices of the padded
+    array over the corners of each cell."""
+    shift = np.asarray(shift, dtype=float)
+    pad = int(np.ceil(np.max(np.abs(shift)) * (len(coeffs) - 1))) + 2
+    vp = np.pad(v, [(pad, pad) if ax in axes else (0, 0)
+                    for ax in range(v.ndim)])
+    acc = np.zeros_like(vp)
+    for i, c in enumerate(coeffs):
+        t = i * shift
+        cells = np.floor(t).astype(int)
+        frac = t - cells
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            w = c * math.prod(f if e else 1 - f for f, e in zip(frac, corner))
+            # shifted[n] = vp[n + off] along each slice axis, zero beyond
+            shifted = np.zeros_like(vp)
+            dst = [slice(None)] * v.ndim
+            src = [slice(None)] * v.ndim
+            for ax, off in zip(axes, cells + np.array(corner)):
+                n = vp.shape[ax]
+                dst[ax] = slice(max(0, -off), min(n, n - off))
+                src[ax] = slice(max(0, off), min(n, n + off))
+            shifted[tuple(dst)] = vp[tuple(src)]
+            acc += w * shifted
+    return float(np.sum(np.abs(acc) ** p))
+
+
+@pytest.mark.parametrize("shape, axes", [((17,), [0]), ((9, 11), [0, 1]),
+                                         ((5, 6, 7), [0, 1, 2]),
+                                         ((8, 9), [1])],
+                         ids=["1d", "2d", "3d", "1d-of-2d"])
+@pytest.mark.parametrize("coeffs", [(-1, 1), (1, -2, 1)],
+                         ids=["order1", "order2"])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_difference_power_sum_matches_padded_reference(shape, axes, coeffs, p):
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(shape)
+    extent = max(shape[ax] for ax in axes)
+    shifts = [
+        [0.3, -0.45, 0.7][:len(axes)],                       # sub-cell
+        [3.7, -2.25, 4.0][:len(axes)],                       # multi-cell
+        [-(extent + 2.5), 0.5, extent + 1.0][:len(axes)],    # off the grid
+        [0.0, 2.0, -1.0][:len(axes)],                        # whole cells
+    ]
+    for shift in shifts:
+        got = _difference_power_sum(v, axes, np.array(shift), coeffs, p)
+        want = _padded_difference_power_sum(v, axes, shift, coeffs, p)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_dilation_fit_leaves_scipy_unloaded():
+    code = ("import sys\n"
+            "from fractions import Fraction as F\n"
+            "from anisocalc import SCALARS, SpaceDescr, isotropic\n"
+            "from anisocalc.normlab import GaussianSpec, "
+            "dilation_scaling_exponent\n"
+            "sp = SpaceDescr.sobolev(F(1, 2), F(1, 2), isotropic(1), SCALARS, "
+            "'R^1')\n"
+            "dilation_scaling_exponent(sp, GaussianSpec((1.0,)), [0.5, 1.0, 2.0], "
+            "(0.1,), 8.0)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = Path(anisocalc.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quadrature_convergence_under_halving():
