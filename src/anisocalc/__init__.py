@@ -20,8 +20,7 @@ from .multiply import (MultInstance, decide_algebra, decide_multiplication,
                        reduced_multiplication)
 from .nemytskij import AnalyticSpec, ConstantsLedger, decide_nemytskij
 from .psolver import ExcludedPoint, Interval, ParamSet, solve_param
-from .ratcore import (AffineExpr, ParamEnv, Rational, SignPartition, X,
-                      affine_compare, rat)
+from .ratcore import AffineExpr, ParamEnv, Rational, X, rat
 from .spaces import (SCALARS, Anisotropy, MultSignature, Scale, SpaceDescr,
                      TargetSpace, isotropic, lp_valued, normalize, parabolic,
                      recognize_intersection, register_signature,
@@ -37,10 +36,10 @@ __all__ = [
     "MinimizerRule", "MultInstance", "MultSignature", "NoInterpolationRule",
     "NotAnIntersectionForm", "NotIdentifiable", "ParamEnv", "ParamSet",
     "Rational", "RealizationInput", "ResolutionError", "SCALARS", "Scale",
-    "SignPartition", "SpaceDescr", "Status", "TargetSpace", "TraceEntry",
-    "UncoveredInstance", "Unsupported", "Verdict", "WrongScale", "X",
-    "affine_compare", "decide_algebra", "decide_multiplication",
-    "decide_multiplier", "decide_nemytskij", "embeds", "interpolate_complex",
+    "SpaceDescr", "Status", "TargetSpace", "TraceEntry", "UncoveredInstance",
+    "Unsupported", "Verdict", "WrongScale", "X", "decide_algebra",
+    "decide_multiplication", "decide_multiplier", "decide_nemytskij",
+    "embeds", "interpolate_complex",
     "interpolate_real", "interpolation_closure", "isotropic", "lp_valued",
     "minimize_phi", "normalize", "parabolic", "rat", "realize_exponents",
     "recognize_intersection", "reduced_multiplication", "register_signature",

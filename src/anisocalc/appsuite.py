@@ -99,7 +99,7 @@ def _multiplier_thunk(factors: Sequence[SpaceDescr], target: SpaceDescr,
 
 def _nemytskij_thunk(args: Sequence[SpaceDescr], target: SpaceDescr,
                      arity: int) -> DecisionThunk:
-    phi = AnalyticSpec(arity=arity, radius=Fraction(1), vanishes_at_zero=True)
+    phi = AnalyticSpec(arity=arity)
     return lambda env: decide_nemytskij_in(list(args), target, phi, env)[0]
 
 
@@ -221,6 +221,8 @@ def _run_suite(problem: str, n: int, p: Rational | None,
                footnotes: tuple[str, ...]) -> SuiteReport:
     if n < 2:
         raise ValueError("the checklists are stated for n >= 2")
+    if p is not None and p <= 0:
+        raise ValueError("the integrability exponent must be positive")
     results: list[TermResult] = []
     if p is None:
         for chk in checks:

@@ -2,36 +2,72 @@
 
 Exit codes: 0 covered/success, 1 not covered (or empty solved range),
 2 usage or parse error, 3 violated hypothesis or unsupported operation.
+An error reaches the user as one line on stderr; ``dsl.exit_code`` picks
+its code.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
 from . import appsuite, dsl
-from .errors import (EngineError, HypothesisViolation, IncompatibleSpaces,
-                     NotIdentifiable, Unsupported)
 from .lemmas import (MinimizationInput, RealizationInput, minimize_phi,
                      realize_exponents)
-from .psolver import ParamSet
 from .ratcore import render_fraction
 from .spaces import Scale
-
-_HYPOTHESIS_ERRORS = (HypothesisViolation, NotIdentifiable, IncompatibleSpaces,
-                      Unsupported)
 
 
 def _load_prelude(path: str | None) -> dict[str, tuple[int, ...]]:
     if path is None:
         return dict(dsl.DEFAULT_PRELUDE)
     return dsl.parse_prelude(Path(path).read_text())
+
+
+def _rational(text: str) -> Fraction:
+    """One rational option value; a zero denominator is malformed text
+    like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _rationals(text: str) -> tuple[Fraction, ...]:
+    return tuple(_rational(v) for v in text.split(","))
+
+
+def _refuse(exc: Exception) -> int:
+    """Name the error on stderr and return its exit code."""
+    code = dsl.exit_code(exc)
+    click.echo(f"{type(exc).__name__}: {exc}", err=True)
+    return code
+
+
+def _refusing(command):
+    """A command body whose errors exit with their mapped code."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except Exception as exc:
+            sys.exit(_refuse(exc))
+    return run
+
+
+def _evaluate(text: str, prelude) -> tuple[dsl.Report | None, int]:
+    """parse -> run -> exit code; a refused query has no report."""
+    try:
+        report = dsl.run(dsl.parse_query(text, prelude))
+    except Exception as exc:
+        return None, _refuse(exc)
+    return report, report.exit_code
 
 
 def _emit(report: dsl.Report, machine: bool, explain: bool,
@@ -42,22 +78,6 @@ def _emit(report: dsl.Report, machine: bool, explain: bool,
         if timing is not None:
             report.timing_ms = timing
         click.echo(report.to_text(explain=explain))
-
-
-def _run_text_query(text: str, prelude, machine: bool, explain: bool) -> int:
-    t0 = time.perf_counter()
-    try:
-        query = dsl.parse_query(text, prelude)
-    except dsl.ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        return dsl.EXIT_USAGE
-    try:
-        report = dsl.run(query)
-    except _HYPOTHESIS_ERRORS as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        return dsl.EXIT_HYPOTHESIS
-    _emit(report, machine, explain, (time.perf_counter() - t0) * 1e3)
-    return report.exit_code
 
 
 _common = [
@@ -84,12 +104,16 @@ def _query_command(name: str, prefix: str, help_text: str):
     @main.command(name=name, help=help_text)
     @click.argument("query", nargs=-1, required=True)
     @_with_common
+    @_refusing
     def _cmd(query: tuple[str, ...], prelude_path, machine, explain):
+        prelude = _load_prelude(prelude_path)
         text = " ".join(query)
         if prefix and not text.lstrip().startswith(prefix):
             text = f"{prefix}{text}"
-        code = _run_text_query(text, _load_prelude(prelude_path), machine,
-                               explain)
+        t0 = time.perf_counter()
+        report, code = _evaluate(text, prelude)
+        if report is not None:
+            _emit(report, machine, explain, (time.perf_counter() - t0) * 1e3)
         sys.exit(code)
     return _cmd
 
@@ -108,36 +132,20 @@ _query_command("interp", "", "Interpolation: '[A, B]_{1/2}' or '(A, B)_{1/2, q}'
 
 
 @main.command(name="batch", help="Evaluate a query file (one query per line, "
-              "'#' comments).")
+              "'#' comments); a refused line fails only itself.")
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--jobs", type=int, default=1, help="parallel evaluation")
 @_with_common
-def batch(path: str, jobs: int, prelude_path, machine, explain) -> None:
+@_refusing
+def batch(path: str, prelude_path, machine, explain) -> None:
     prelude = _load_prelude(prelude_path)
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    queries = [ln for ln in lines if ln and not ln.startswith("#")]
-
-    def evaluate(text: str) -> tuple[dsl.Report | None, str | None, int]:
-        try:
-            report = dsl.run(dsl.parse_query(text, prelude))
-            return report, None, report.exit_code
-        except dsl.ParseError as exc:
-            return None, f"parse error: {exc}", dsl.EXIT_USAGE
-        except _HYPOTHESIS_ERRORS as exc:
-            return None, f"{type(exc).__name__}: {exc}", dsl.EXIT_HYPOTHESIS
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, queries))
-    else:
-        results = [evaluate(q) for q in queries]
     worst = 0
-    for (report, error, code) in results:
-        if report is not None:
-            _emit(report, machine, explain)
-        else:
-            click.echo(error, err=True)
-        worst = max(worst, code)
+    for line in Path(path).read_text().splitlines():
+        text = line.strip()
+        if text and not text.startswith("#"):
+            report, code = _evaluate(text, prelude)
+            if report is not None:
+                _emit(report, machine, explain)
+            worst = max(worst, code)
     sys.exit(worst)
 
 
@@ -147,17 +155,10 @@ def batch(path: str, jobs: int, prelude_path, machine, explain) -> None:
 @click.option("--pi", "pi_", required=True, help="comma-separated reciprocals")
 @click.option("--rho", required=True, help="target sum")
 @click.option("--machine", is_flag=True)
+@_refusing
 def realize(sigma: str, pi_: str, rho: str, machine: bool) -> None:
-    try:
-        inp = RealizationInput(
-            tuple(Fraction(v) for v in sigma.split(",")),
-            tuple(Fraction(v) for v in pi_.split(",")),
-            Fraction(rho))
-        out = realize_exponents(inp)
-    except (ValueError, EngineError) as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(dsl.EXIT_HYPOTHESIS if isinstance(exc, EngineError)
-                 else dsl.EXIT_USAGE)
+    out = realize_exponents(RealizationInput(
+        _rationals(sigma), _rationals(pi_), _rational(rho)))
     if machine:
         click.echo(json.dumps({"schema": dsl.SCHEMA, "kind": "realize",
                                "rho_j": [render_fraction(v) for v in out]}))
@@ -172,15 +173,10 @@ def realize(sigma: str, pi_: str, rho: str, machine: bool) -> None:
 @click.option("--pi", "pi_", required=True)
 @click.option("--order", "n", required=True, type=int)
 @click.option("--machine", is_flag=True)
+@_refusing
 def minimize(sigma: str, pi_: str, n: int, machine: bool) -> None:
-    try:
-        inp = MinimizationInput(
-            tuple(Fraction(v) for v in sigma.split(",")),
-            tuple(Fraction(v) for v in pi_.split(",")), n)
-        val, rule = minimize_phi(inp)
-    except ValueError as exc:
-        click.echo(f"ValueError: {exc}", err=True)
-        sys.exit(dsl.EXIT_USAGE)
+    val, rule = minimize_phi(MinimizationInput(
+        _rationals(sigma), _rationals(pi_), n))
     if machine:
         click.echo(json.dumps({
             "schema": dsl.SCHEMA, "kind": "minimize",
@@ -214,23 +210,20 @@ def minimize(sigma: str, pi_: str, n: int, machine: bool) -> None:
 @click.option("--prelude", "prelude_path", type=click.Path(exists=True),
               default=None)
 @click.option("--machine", is_flag=True)
+@_refusing
 def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
              prelude_path, machine) -> None:
     from . import normlab  # numpy loads only for this command
 
-    try:
-        space = dsl.parse_space(space_text, _load_prelude(prelude_path))
-    except dsl.ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(dsl.EXIT_USAGE)
+    space = dsl.parse_space(space_text, _load_prelude(prelude_path))
     dims = tuple(space.aniso.dims)
     total_axes = sum(dims)
-    sigmas = tuple(float(Fraction(v)) for v in sigma.split(","))
+    sigmas = tuple(float(v) for v in _rationals(sigma))
     if len(sigmas) == 1:
         sigmas = sigmas * total_axes
     freqs = None
     if freq is not None:
-        freqs = tuple(float(Fraction(v)) for v in freq.split(","))
+        freqs = tuple(float(v) for v in _rationals(freq))
         if len(freqs) == 1:
             freqs = freqs * total_axes
     spec = normlab.GaussianSpec(sigmas, freqs)
@@ -238,15 +231,16 @@ def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
     if spacing is None:
         spacings = tuple(min(sigmas) / 25 for _ in dims)
     else:
-        vals = [float(Fraction(v)) for v in spacing.split(",")]
+        vals = [float(v) for v in _rationals(spacing)]
         if len(vals) == 1:
             spacings = tuple(vals * len(dims))
         elif len(vals) == len(dims):
             spacings = tuple(vals)
         else:
-            click.echo(f"expected 1 or {len(dims)} spacings, got {len(vals)}",
-                       err=True)
-            sys.exit(dsl.EXIT_USAGE)
+            raise ValueError(f"expected 1 or {len(dims)} spacings, got "
+                             f"{len(vals)}")
+    if min(sigmas) <= 0 or min(spacings) <= 0:
+        raise ValueError("Gaussian widths and grid spacings must be positive")
 
     def one(lam: float) -> float:
         sampled = spec.dilated(lam, tuple(space.aniso.weights), dims) \
@@ -255,32 +249,29 @@ def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
             return normlab.seminorm_slobodeckij(sampled, space).value
         return normlab.seminorm_besov(sampled, space).value
 
-    try:
-        if dilations is None:
-            value = one(1.0)
-            if machine:
-                click.echo(json.dumps({"schema": dsl.SCHEMA,
-                                       "kind": "seminorm",
-                                       "space": str(space), "value": value}))
-            else:
-                click.echo(f"seminorm = {value:.6g}")
+    if dilations is None:
+        value = one(1.0)
+        if machine:
+            click.echo(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm",
+                                   "space": str(space), "value": value}))
         else:
-            lams = [float(Fraction(v)) for v in dilations.split(",")]
-            rows = [(lam, one(lam)) for lam in lams]
-            table = "lambda,seminorm\n" + "\n".join(
-                f"{lam},{val:.12g}" for lam, val in rows)
-            if csv_path is not None:
-                Path(csv_path).write_text(table + "\n")
-                click.echo(f"wrote {csv_path}")
-            elif machine:
-                click.echo(json.dumps({"schema": dsl.SCHEMA,
-                                       "kind": "seminorm-scaling",
-                                       "space": str(space), "rows": rows}))
-            else:
-                click.echo(table)
-    except EngineError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(dsl.EXIT_HYPOTHESIS)
+            click.echo(f"seminorm = {value:.6g}")
+    else:
+        lams = [float(v) for v in _rationals(dilations)]
+        if min(lams) <= 0:
+            raise ValueError("dilation parameters must be positive")
+        rows = [(lam, one(lam)) for lam in lams]
+        table = "lambda,seminorm\n" + "\n".join(
+            f"{lam},{val:.12g}" for lam, val in rows)
+        if csv_path is not None:
+            Path(csv_path).write_text(table + "\n")
+            click.echo(f"wrote {csv_path}")
+        elif machine:
+            click.echo(json.dumps({"schema": dsl.SCHEMA,
+                                   "kind": "seminorm-scaling",
+                                   "space": str(space), "rows": rows}))
+        else:
+            click.echo(table)
     sys.exit(0)
 
 
@@ -292,19 +283,12 @@ def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
 @click.option("--solve-p", "solve_p", is_flag=True,
               help="solve every term symbolically (default when --p absent)")
 @click.option("--machine", is_flag=True)
+@_refusing
 def app(problem: str, n: int, p_text: str | None, solve_p: bool,
         machine: bool) -> None:
-    try:
-        p = None if (solve_p or p_text is None) else Fraction(p_text)
-    except ValueError:
-        click.echo(f"--p expects a rational, got {p_text!r}", err=True)
-        sys.exit(dsl.EXIT_USAGE)
-    try:
-        report = (appsuite.run_stefan if problem == "stefan"
-                  else appsuite.run_nvs)(n, p)
-    except ValueError as exc:
-        click.echo(f"ValueError: {exc}", err=True)
-        sys.exit(dsl.EXIT_USAGE)
+    p = None if (solve_p or p_text is None) else _rational(p_text)
+    report = (appsuite.run_stefan if problem == "stefan"
+              else appsuite.run_nvs)(n, p)
     if machine:
         click.echo(json.dumps(_suite_machine(report), sort_keys=True))
     else:
@@ -315,18 +299,6 @@ def app(problem: str, n: int, p_text: str | None, solve_p: bool,
     sys.exit(dsl.EXIT_COVERED if report.all_covered else dsl.EXIT_NOT_COVERED)
 
 
-def _param_set_machine(ps: ParamSet) -> dict:
-    return {
-        "x_intervals": [
-            {"lo": render_fraction(iv.lo), "lo_closed": iv.lo_closed,
-             "hi": render_fraction(iv.hi), "hi_closed": iv.hi_closed}
-            for iv in ps.intervals],
-        "excluded": [{"x": render_fraction(e.x), "reason": e.reason}
-                     for e in ps.excluded],
-        "p": ps.describe_p(),
-    }
-
-
 def _suite_machine(report: appsuite.SuiteReport) -> dict:
     terms = []
     for res in report.terms:
@@ -335,8 +307,8 @@ def _suite_machine(report: appsuite.SuiteReport) -> dict:
                      "governing": res.check.governing,
                      "anchor": res.check.anchor}
         if res.param_set is not None:
-            row["param_set"] = _param_set_machine(res.param_set)
-            row["expected"] = _param_set_machine(res.check.expected)
+            row["param_set"] = res.param_set.to_machine()
+            row["expected"] = res.check.expected.to_machine()
             row["matches_expected"] = res.matches_expected
         if res.decision is not None:
             row["verdict"] = res.decision.verdict.value
@@ -358,8 +330,8 @@ def _suite_machine(report: appsuite.SuiteReport) -> dict:
         "footnotes": list(report.footnotes),
     }
     if report.intersection is not None:
-        out["intersection"] = _param_set_machine(report.intersection)
-        out["final"] = _param_set_machine(report.final)
+        out["intersection"] = report.intersection.to_machine()
+        out["final"] = report.final.to_machine()
     return out
 
 

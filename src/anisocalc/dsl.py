@@ -123,15 +123,27 @@ class _Cursor:
             raise self.error("expected an integer")
         return int(self.text[start:self.pos])
 
+    def take_denominator(self) -> int:
+        den = self.take_int()
+        if den == 0:
+            raise self.error("zero denominator")
+        return den
+
     def take_rational(self) -> Fraction:
         num = self.take_int()
         save = self.pos
         if self.take("/"):
             self.skip_ws()
             if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                return Fraction(num, self.take_int())
+                return Fraction(num, self.take_denominator())
             self.pos = save
         return Fraction(num)
+
+    def take_theta(self) -> Fraction:
+        theta = self.take_rational()
+        if not 0 < theta < 1:
+            raise self.error("interpolation parameter must lie in (0, 1)")
+        return theta
 
     def take_ident(self) -> str:
         self.skip_ws()
@@ -166,7 +178,7 @@ def _parse_sexpr(cur: _Cursor) -> AffineExpr:
             if cur.take("p"):
                 term = AffineExpr(Fraction(0), num)
             else:
-                den = Fraction(cur.take_int())
+                den = Fraction(cur.take_denominator())
                 if cur.take("p"):
                     term = AffineExpr(Fraction(0), num / den)
                 else:
@@ -332,9 +344,9 @@ def _parse_space(cur: _Cursor) -> SpaceDescr:
         raise cur.error(
             f"{len(weights)} weights for {len(dims)} slices; use a domain "
             f"like R^{{{'x'.join('1' for _ in weights)}}}")
-    aniso = Anisotropy(dims, weights)
     try:
-        return SpaceDescr(scale, s, x, y, aniso, target, label)
+        return SpaceDescr(scale, s, x, y, Anisotropy(dims, weights), target,
+                          label)
     except ValueError as exc:
         raise cur.error(str(exc)) from None
 
@@ -400,7 +412,7 @@ def _parse_query(cur: _Cursor) -> Query:
         cur.expect("]")
         cur.expect("_")
         cur.expect("{")
-        theta = cur.take_rational()
+        theta = cur.take_theta()
         cur.expect("}")
         return Query("interp", {"method": "complex", "a": a, "b": b,
                                 "theta": theta})
@@ -412,7 +424,7 @@ def _parse_query(cur: _Cursor) -> Query:
         cur.expect(")")
         cur.expect("_")
         cur.expect("{")
-        theta = cur.take_rational()
+        theta = cur.take_theta()
         q: object = COUPLED
         if cur.take(","):
             cur.skip_ws()
@@ -499,6 +511,17 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 
 
+def exit_code(exc: Exception) -> int:
+    """Exit code of a refused query or command: 2 for malformed text or
+    option values, 3 for every other engine error.  Any other exception is
+    a bug and propagates."""
+    if isinstance(exc, (ParseError, ValueError)):
+        return EXIT_USAGE
+    if isinstance(exc, EngineError):
+        return EXIT_HYPOTHESIS
+    raise exc
+
+
 @dataclass
 class Report:
     query: str
@@ -552,18 +575,8 @@ class Report:
             "query": self.query,
             "verdict": self.verdict,
             "value": self.value,
-            "param_set": None if self.param_set is None else {
-                "x_intervals": [
-                    {"lo": render_fraction(iv.lo), "lo_closed": iv.lo_closed,
-                     "hi": render_fraction(iv.hi), "hi_closed": iv.hi_closed}
-                    for iv in self.param_set.intervals
-                ],
-                "excluded": [
-                    {"x": render_fraction(e.x), "reason": e.reason}
-                    for e in self.param_set.excluded
-                ],
-                "p": self.param_set.describe_p(),
-            },
+            "param_set": None if self.param_set is None else
+            self.param_set.to_machine(),
             "first_failure": None if fail is None else
             {"label": fail.label, "anchor": fail.anchor},
             "trace": [

@@ -18,7 +18,7 @@ from .errors import (BadSlice, IncompatibleSpaces, NoInterpolationRule,
                      Unsupported)
 from .ratcore import AffineExpr, ParamEnv, Rational
 from .spaces import (SCALARS, Scale, SpaceDescr, isotropic, lp_valued,
-                     normalize, sobolev_index)
+                     normalize, require_concrete, sobolev_index)
 
 
 class Verdict(str, Enum):
@@ -107,11 +107,6 @@ class ConditionLog:
     def decision(self) -> Decision:
         return Decision(Verdict.COVERED if self.ok else Verdict.NOT_COVERED,
                         tuple(self.entries))
-
-
-def _require_concrete(*spaces: SpaceDescr) -> None:
-    if any(not sp.is_concrete for sp in spaces):
-        raise Unsupported("symbolic integrability: use the parameter solver")
 
 
 def _index_condition(log: ConditionLog, label: str, anchor: str,
@@ -294,7 +289,7 @@ def _detour_intermediate(src: SpaceDescr, dst: SpaceDescr,
 
 def embeds(src: SpaceDescr, dst: SpaceDescr) -> Decision:
     """Decide whether the implemented rules give the embedding src -> dst."""
-    _require_concrete(src, dst)
+    require_concrete(src, dst)
     return embeds_in(src, dst, ParamEnv.concrete())
 
 
@@ -384,9 +379,13 @@ def _convex(a: AffineExpr, b: AffineExpr, theta: Fraction) -> AffineExpr:
 
 
 def _as_h0(space: SpaceDescr) -> SpaceDescr:
-    if space.scale is Scale.L:
-        return space.with_(scale=Scale.H)
-    return space
+    if space.scale is not Scale.L:
+        return space
+    if space.x.is_constant and not 0 < space.x.constant < 1:
+        raise NoInterpolationRule(
+            f"{space} is the zero-order Bessel-potential space only for "
+            f"1 < p < oo")
+    return space.with_(scale=Scale.H)
 
 
 def interpolate_complex(a: SpaceDescr, b: SpaceDescr,

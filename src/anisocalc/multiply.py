@@ -16,11 +16,11 @@ from typing import Sequence
 from .embed import (ConditionLog, Decision, Status, TraceEntry, Verdict,
                     interpolate_complex)
 from .errors import (ClosureFromUncovered, HypothesisViolation,
-                     IncompatibleSpaces, Unsupported)
+                     IncompatibleSpaces)
 from .ratcore import AffineExpr, ParamEnv, Rational
 from .spaces import (MultSignature, Scale, SpaceDescr, check_target_flags,
-                     effective_scale, normalize, signature_registered,
-                     sobolev_index)
+                     effective_scale, normalize, require_concrete,
+                     signature_registered, sobolev_index)
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class MultInstance:
 
     def __str__(self) -> str:
         return " * ".join(str(f) for f in self.factors) + f" -> {self.target}"
-
-
-def _require_concrete(inst: MultInstance) -> None:
-    if any(not f.is_concrete for f in inst.factors) or not inst.target.is_concrete:
-        raise Unsupported("symbolic integrability: use the parameter solver")
 
 
 def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
@@ -123,7 +118,7 @@ def _subset_index_signs(ind: AffineExpr, inds: Sequence[AffineExpr],
 
 def decide_multiplication(inst: MultInstance) -> Decision:
     """Decide the m-linear multiplication (concrete parameters)."""
-    _require_concrete(inst)
+    require_concrete(*inst.factors, inst.target)
     return decide_multiplication_in(inst, ParamEnv.concrete())
 
 
@@ -255,7 +250,7 @@ def decide_multiplication_in(inst: MultInstance, env: ParamEnv) -> Decision:
 def decide_multiplier(inst: MultInstance, ell: int) -> Decision:
     """Decide the multiplier form: factor ``ell`` (1-based) equals the
     target and the remaining factors act as multipliers."""
-    _require_concrete(inst)
+    require_concrete(*inst.factors, inst.target)
     return decide_multiplier_in(inst, ell, ParamEnv.concrete())
 
 
@@ -322,8 +317,7 @@ def decide_multiplier_in(inst: MultInstance, ell: int,
 
 def decide_algebra(space: SpaceDescr) -> Decision:
     """Multiplication-algebra criterion for a single space."""
-    if not space.is_concrete:
-        raise Unsupported("symbolic integrability: use the parameter solver")
+    require_concrete(space)
     return decide_algebra_in(space, ParamEnv.concrete())
 
 
@@ -341,7 +335,7 @@ def reduced_multiplication(inst: MultInstance,
                            omit: Sequence[int] | set[int]) -> Decision:
     """Decision for the reduced multiplication with the omitted factor
     slots (1-based) filled by the unit of their value algebra."""
-    _require_concrete(inst)
+    require_concrete(*inst.factors, inst.target)
     return reduced_multiplication_in(inst, omit, ParamEnv.concrete())
 
 

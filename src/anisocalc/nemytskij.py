@@ -13,10 +13,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .embed import ConditionLog, Decision, Verdict
-from .errors import HypothesisViolation, Unsupported
+from .errors import HypothesisViolation
 from .multiply import MultInstance, _hypotheses, _one_parameter_besov
 from .ratcore import ParamEnv, Rational
-from .spaces import Scale, SpaceDescr, effective_scale, normalize, sobolev_index
+from .spaces import (Scale, SpaceDescr, effective_scale, normalize,
+                     require_concrete, sobolev_index)
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class AnalyticSpec:
     arity: int
     radius: Rational = Fraction(1)
     vanishes_at_zero: bool = True
-    first_order_coeff_bound: Rational | None = None
 
     def __post_init__(self):
         if self.arity < 1:
@@ -55,8 +55,7 @@ class ConstantsLedger:
 def decide_nemytskij(args: Sequence[SpaceDescr], target: SpaceDescr,
                      phi: AnalyticSpec) -> tuple[Decision, ConstantsLedger | None]:
     """Decide analyticity of the superposition operator u -> phi(u)."""
-    if any(not a.is_concrete for a in args) or not target.is_concrete:
-        raise Unsupported("symbolic integrability: use the parameter solver")
+    require_concrete(*args, target)
     return decide_nemytskij_in(args, target, phi, ParamEnv.concrete())
 
 

@@ -169,6 +169,18 @@ class ParamSet:
                 if e.x != 0) + "}"
         return body
 
+    def to_machine(self) -> dict:
+        """The JSON form shared by query reports and checklists."""
+        return {
+            "x_intervals": [
+                {"lo": render_fraction(iv.lo), "lo_closed": iv.lo_closed,
+                 "hi": render_fraction(iv.hi), "hi_closed": iv.hi_closed}
+                for iv in self.intervals],
+            "excluded": [{"x": render_fraction(e.x), "reason": e.reason}
+                         for e in self.excluded],
+            "p": self.describe_p(),
+        }
+
     def sample_inside(self, rng: random.Random, count: int) -> list[Fraction]:
         if self.is_empty:
             return []

@@ -292,63 +292,3 @@ class ParamEnv:
         if q.denominator != 1:
             return False
         return q >= (0 if allow_zero else 1)
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """Sign pattern of an affine form over x in (0, 1).
-
-    ``breakpoints`` are the interior zeros (at most one for an affine
-    form); ``signs`` lists one sign per cell in left-to-right order where
-    cells alternate open interval / breakpoint / open interval.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    signs: tuple[int, ...]
-    strict: bool = True
-
-    def __post_init__(self):
-        if len(self.signs) != 2 * len(self.breakpoints) + 1:
-            raise ValueError("signs must cover intervals and breakpoints")
-
-    def sign_at(self, x: RationalLike) -> int:
-        x = Fraction(x)
-        if not 0 < x < 1:
-            raise ValueError("sign partition covers only 0 < x < 1")
-        for i, b in enumerate(self.breakpoints):
-            if x < b:
-                return self.signs[2 * i]
-            if x == b:
-                return self.signs[2 * i + 1]
-        return self.signs[-1]
-
-    def cells(self) -> list[tuple[Fraction, Fraction, int]]:
-        """(lo, hi, sign) triples for the open cells; point cells are the
-        breakpoints themselves with their recorded sign."""
-        bounds = [Fraction(0), *self.breakpoints, Fraction(1)]
-        out = []
-        for i in range(len(bounds) - 1):
-            out.append((bounds[i], bounds[i + 1], self.signs[2 * i]))
-        return out
-
-
-def affine_compare(lhs: AffineLike, rhs: AffineLike, strict: bool = True) -> SignPartition:
-    """Partition x in (0, 1) by the sign of ``lhs - rhs``.
-
-    The ``strict`` flag is carried along so that callers extracting the
-    satisfying region of ``lhs < rhs`` versus ``lhs <= rhs`` can share one
-    partition.
-    """
-    d = AffineExpr.of(lhs) - AffineExpr.of(rhs)
-    if d.slope == 0:
-        s = (d.constant > 0) - (d.constant < 0)
-        return SignPartition((), (s,), strict)
-    r = d.root()
-    assert r is not None
-    if not 0 < r < 1:
-        # constant sign on the whole open interval
-        v = d(Fraction(1, 2))
-        s = (v > 0) - (v < 0)
-        return SignPartition((), (s,), strict)
-    left, right = (-1, 1) if d.slope > 0 else (1, -1)
-    return SignPartition((r,), (left, 0, right), strict)

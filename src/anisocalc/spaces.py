@@ -285,6 +285,12 @@ class SpaceDescr:
                 f"_{p}{q}({self.domain_label}{val})")
 
 
+def require_concrete(*spaces: SpaceDescr) -> None:
+    """Refuse symbolic integrability at a concrete entry point."""
+    if any(not sp.is_concrete for sp in spaces):
+        raise Unsupported("symbolic integrability: use the parameter solver")
+
+
 def sobolev_index(space: SpaceDescr) -> AffineExpr:
     """The anisotropic regularity index (s - (w.n) x) / lcm(w).
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,12 +10,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import anisocalc
 from anisocalc import AffineExpr, Scale, X
 from anisocalc.cli import main
 from anisocalc.dsl import (ParseError, format_query, parse_prelude,
                            parse_query, parse_space, run)
+from anisocalc.errors import EngineError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,16 +173,93 @@ def test_golden_corpus_failures_name_conditions():
             assert fail is not None and fail.label and fail.anchor
 
 
-def test_cli_exit_codes(tmp_path):
-    runner = CliRunner()
-    ok = runner.invoke(main, ["algebra", "W^{1-1/p,(2,1)}_6(JxSigma) ?"])
-    assert ok.exit_code == 0
-    not_covered = runner.invoke(main, ["algebra", "W^{1-1/p,(2,1)}_4(JxSigma) ?"])
-    assert not_covered.exit_code == 1
-    bad = runner.invoke(main, ["embed", "H^{1,(2,1)}_p(Nowhere) -> C0(JxSigma) ?"])
-    assert bad.exit_code == 2
-    hyp = runner.invoke(main, ["algebra", "H^{2,(2,1)}_4(JxSigma; Lp(Rdot)) ?"])
-    assert hyp.exit_code == 3
+_H = "H^{1,(1)}_2(R^2)"
+_W = "W^{1/2,(1)}_2(R^1)"
+
+
+@pytest.mark.parametrize("args, code", [
+    pytest.param(["algebra", "W^{1-1/p,(2,1)}_6(JxSigma) ?"], 0, id="covered"),
+    pytest.param(["algebra", "W^{1-1/p,(2,1)}_4(JxSigma) ?"], 1,
+                 id="not-covered"),
+    pytest.param(["embed", "H^{1,(2,1)}_p(Nowhere) -> C0(JxSigma) ?"], 2,
+                 id="unknown-alias"),
+    pytest.param(["index", "H^{1/0,(1)}_2(R^2)"], 2, id="zero-denominator"),
+    pytest.param(["index", "H^{1,(1)}_2(R^{0})"], 2, id="zero-dim"),
+    pytest.param(["index", "H^{1,(0)}_2(R^2)"], 2, id="zero-weight"),
+    pytest.param(["interp", "[L^{(1)}_2(R^2), L^{(1)}_6(R^2)]_{3/2}"], 2,
+                 id="complex-theta"),
+    pytest.param(["interp", "(L^{(1)}_2(R^2), L^{(1)}_6(R^2))_{3/2}"], 2,
+                 id="real-theta"),
+    pytest.param(["seminorm", "--space", _W, "--sigma", "x"], 2,
+                 id="seminorm-sigma"),
+    pytest.param(["seminorm", "--space", _W, "--spacing", "0"], 2,
+                 id="seminorm-spacing"),
+    pytest.param(["seminorm", "--space", _W, "--dilations", "0,1"], 2,
+                 id="seminorm-dilation"),
+    pytest.param(["realize", "--sigma", "1/0", "--pi", "1/2", "--rho", "1/2"],
+                 2, id="realize-zero-denominator"),
+    pytest.param(["app", "stefan", "--n", "3", "--p", "0"], 2, id="app-p"),
+    pytest.param(["algebra", "H^{2,(2,1)}_4(JxSigma; Lp(Rdot)) ?"], 3,
+                 id="hypothesis"),
+    pytest.param(["interp", f"[{_H}, H^{{2,(1)}}_3(R^2)]_{{1/2}}"], 3,
+                 id="h-pair"),
+    pytest.param(["interp", f"[L^{{(1)}}_1(R^2), {_H}]_{{1/2}}"], 3,
+                 id="l1-operand"),
+    pytest.param(["interp", f"[L^{{(1)}}_oo(R^2), {_H}]_{{1/2}}"], 3,
+                 id="loo-operand"),
+])
+def test_cli_exit_codes(args, code):
+    # a refusal is one line on stderr, never a traceback (exit 1)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == code
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    if code >= 2:
+        assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+
+
+def test_cli_malformed_prelude_is_a_usage_error(tmp_path):
+    prelude = tmp_path / "prelude.txt"
+    prelude.write_text("Omega 3\n")
+    res = CliRunner().invoke(main, ["index", "--prelude", str(prelude), _H])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "prelude lines read ALIAS = dims" in res.stderr
+
+
+_NUMBERS = ("0", "1", "2", "3", "oo", "1/0", "3/2")
+_CHARS = "0/p{}()[],_^-+*>?x ;"
+
+
+@st.composite
+def _mutated_golden_lines(draw):
+    """A golden line after one to three edits: a number replaced by a zero,
+    small, infinite or improper value, or one character inserted, deleted
+    or replaced."""
+    line = draw(st.sampled_from(_corpus_lines()))
+    for _ in range(draw(st.integers(1, 3))):
+        numbers = [m.span() for m in re.finditer(r"\d+", line)]
+        if numbers and draw(st.booleans()):
+            a, b = draw(st.sampled_from(numbers))
+            line = line[:a] + draw(st.sampled_from(_NUMBERS)) + line[b:]
+        else:
+            i = draw(st.integers(0, len(line)))
+            ch = draw(st.sampled_from(_CHARS))
+            line = draw(st.sampled_from((line[:i] + ch + line[i:],
+                                         line[:i] + line[i + 1:],
+                                         line[:i] + ch + line[i + 1:])))
+    return line
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutated_golden_lines())
+def test_mutated_queries_report_or_refuse(text):
+    try:
+        run(parse_query(text))
+    except EngineError:
+        pass
+    res = CliRunner().invoke(main, ["embed", "--", text])
+    assert res.exit_code in (0, 1, 2, 3)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 @pytest.mark.parametrize("p", ["1", "oo"])
@@ -218,11 +299,21 @@ def test_cli_batch_preserves_order(tmp_path):
     src = tmp_path / "queries.txt"
     src.write_text("\n".join(["# comment", *_corpus_lines()]) + "\n")
     runner = CliRunner()
-    seq = runner.invoke(main, ["batch", str(src), "--machine"])
-    par = runner.invoke(main, ["batch", str(src), "--machine", "--jobs", "4"])
-    assert seq.output == par.output
-    assert [json.loads(ln)["query"] for ln in seq.output.splitlines()] == \
+    res = runner.invoke(main, ["batch", str(src), "--machine"])
+    assert [json.loads(ln)["query"] for ln in res.output.splitlines()] == \
         [format_query(parse_query(ln)) for ln in _corpus_lines()]
+
+
+def test_cli_batch_isolates_a_malformed_line(tmp_path):
+    src = tmp_path / "queries.txt"
+    src.write_text("index H^{1,(1)}_2(R^2)\n"
+                   "index H^{1/0,(1)}_2(R^2)\n"
+                   "algebra W^{1-1/p,(2,1)}_6(JxSigma) ?\n")
+    res = CliRunner().invoke(main, ["batch", str(src), "--machine"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    docs = [json.loads(ln) for ln in res.stdout.splitlines()]
+    assert [d["kind"] for d in docs] == ["index", "algebra"]
+    assert res.stderr.startswith("ParseError: zero denominator")
 
 
 def test_cli_app_machine():

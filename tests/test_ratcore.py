@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisocalc.ratcore import (AffineExpr, BreakpointRecorder, ParamEnv, X,
-                               affine_compare, multiples_in_unit_interval,
-                               render_affine_p, render_affine_x)
+                               multiples_in_unit_interval, render_affine_p,
+                               render_affine_x)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
@@ -40,37 +40,44 @@ def test_affine_equality_is_structural():
 
 
 def test_compare_identical_expressions():
-    part = affine_compare(X, X)
-    assert part.breakpoints == ()
-    assert part.signs == (0,)
+    rec = BreakpointRecorder()
+    assert ParamEnv(F(1, 3), rec).cmp(X, X) == 0
+    assert rec.points == set()
 
 
 def test_compare_root_at_one_fifth():
     # 1/2 - (5/2) x crosses zero at x = 1/5, i.e. p = 5
-    part = affine_compare(AffineExpr(F(1, 2), F(-5, 2)), 0)
-    assert part.breakpoints == (F(1, 5),)
-    assert part.sign_at(F(1, 10)) == 1
-    assert part.sign_at(F(1, 5)) == 0
-    assert part.sign_at(F(1, 2)) == -1
+    e = AffineExpr(F(1, 2), F(-5, 2))
+    rec = BreakpointRecorder()
+    signs = [ParamEnv(x, rec).sign(e) for x in (F(1, 10), F(1, 5), F(1, 2))]
+    assert signs == [1, 0, -1]
+    assert rec.points == {F(1, 5)}
 
 
 def test_compare_crossing_at_one_half():
     # 1 - 2x meets 1/2 - x at x = 1/2
-    part = affine_compare(AffineExpr(F(1), F(-2)), AffineExpr(F(1, 2), F(-1)))
-    assert part.breakpoints == (F(1, 2),)
-    assert part.sign_at(F(1, 2)) == 0
+    rec = BreakpointRecorder()
+    env = ParamEnv(F(1, 2), rec)
+    assert env.cmp(AffineExpr(F(1), F(-2)), AffineExpr(F(1, 2), F(-1))) == 0
+    assert rec.points == {F(1, 2)}
 
 
 def test_compare_agrees_with_pointwise_on_random_points(rng):
+    # the recording and the concrete comparison paths both give the
+    # pointwise sign; the recorder holds the root when it lies in (0, 1)
     for _ in range(50):
         e = AffineExpr(F(rng.randint(-8, 8), rng.randint(1, 9)),
                        F(rng.randint(-8, 8), rng.randint(1, 9)))
-        part = affine_compare(e, 0)
+        root = e.root()
+        roots = {root} if root is not None and 0 < root < 1 else set()
         for _ in range(20):
             den = rng.randint(2, 997)
             x = F(rng.randint(1, den - 1), den)
             v = e(x)
-            assert part.sign_at(x) == (v > 0) - (v < 0)
+            rec = BreakpointRecorder()
+            assert ParamEnv(x, rec).cmp(e, 0) == (v > 0) - (v < 0)
+            assert ParamEnv(x).cmp(e, 0) == (v > 0) - (v < 0)
+            assert rec.points == roots
 
 
 def test_multiples_in_unit_interval():
