@@ -11,18 +11,21 @@ compared against the recorded expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .embed import Decision, embeds_in
-from .multiply import (MultInstance, decide_multiplication_in,
-                       decide_multiplier_in)
-from .nemytskij import AnalyticSpec, decide_nemytskij_in
+from .dsl import Query, decision_thunk
+from .embed import Decision
 from .psolver import ParamSet, solve_param
 from .ratcore import AffineExpr, ParamEnv, Rational, X
 from .spaces import SCALARS, Anisotropy, SpaceDescr, lp_valued
 
-DecisionThunk = Callable[[ParamEnv], Decision]
+# Unused here: the benchmark's traced run wraps these names in this module.
+from .embed import embeds_in  # noqa: F401
+from .multiply import (decide_multiplication_in,  # noqa: F401
+                       decide_multiplier_in)
+from .nemytskij import decide_nemytskij_in  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,14 @@ class TermCheck:
 
     name: str
     term_text: str
-    kind: str
     governing: str
-    build: Callable[[AffineExpr], DecisionThunk]
+    query: Callable[[AffineExpr], Query]
     expected: ParamSet
     anchor: str
+
+    @property
+    def kind(self) -> str:
+        return self.query(X).kind
 
 
 @dataclass
@@ -86,25 +92,17 @@ class SuiteReport:
 # shared builders
 
 
-def _mult_thunk(factors: Sequence[SpaceDescr], target: SpaceDescr) -> DecisionThunk:
-    inst = MultInstance.of(tuple(factors), target)
-    return lambda env: decide_multiplication_in(inst, env)
-
-
-def _multiplier_thunk(factors: Sequence[SpaceDescr], target: SpaceDescr,
-                      ell: int) -> DecisionThunk:
-    inst = MultInstance.of(tuple(factors), target)
-    return lambda env: decide_multiplier_in(inst, ell, env)
-
-
-def _nemytskij_thunk(args: Sequence[SpaceDescr], target: SpaceDescr,
-                     arity: int) -> DecisionThunk:
-    phi = AnalyticSpec(arity=arity)
-    return lambda env: decide_nemytskij_in(list(args), target, phi, env)[0]
-
-
-def _embed_thunk(src: SpaceDescr, dst: SpaceDescr) -> DecisionThunk:
-    return lambda env: embeds_in(src, dst, env)
+def _term(spaces: Callable[[AffineExpr], dict[str, SpaceDescr]],
+          anchor: str, name: str, text: str, governing: str, kind: str,
+          factors: Sequence[str], target: str,
+          expected: ParamSet) -> TermCheck:
+    """A term whose query maps the named factor spaces into the named
+    target space."""
+    def query(x: AffineExpr) -> Query:
+        sp = spaces(x)
+        return Query(kind, {"factors": tuple(sp[f] for f in factors),
+                            "target": sp[target]})
+    return TermCheck(name, text, governing, query, expected, anchor)
 
 
 def _x_upto(hi: Fraction, closed: bool) -> ParamSet:
@@ -158,56 +156,32 @@ def stefan_terms(n: int) -> list[TermCheck]:
     every_p = ParamSet.unit_interval()
     g1 = "p >= (n+2)/2"
     g2 = "p > 2(n+2)/5"
-    a = "app.stefan.mixed-derivative"
-
-    def term(name, text, kind, governing, build, expected):
-        return TermCheck(name, text, kind, governing, build, expected, a)
-
-    def at(x: AffineExpr):
-        return _stefan_spaces(n, x)
+    term = partial(_term, partial(_stefan_spaces, n),
+                   "app.stefan.mixed-derivative")
+    gradients = ("grad_h",) * (n - 1)
 
     return [
-        term("flux coupling", "(dt h - lap h) * dn u", "mult", g1,
-             lambda x: _mult_thunk([at(x)["dt_h"], at(x)["grad_u"]],
-                                   at(x)["flux_target"]),
-             cond1),
-        term("gradient transport", "(grad h . grad) dn u", "multiplier", g2,
-             lambda x: _multiplier_thunk([at(x)["grad_h"], at(x)["hess_u"]],
-                                         at(x)["flux_target"], 2),
+        term("flux coupling", "(dt h - lap h) * dn u", g1,
+             "mult", ("dt_h", "grad_u"), "flux_target", cond1),
+        term("gradient transport", "(grad h . grad) dn u", g2,
+             "multiplier", ("grad_h", "hess_u"), "flux_target", cond2),
+        term("quadratic gradient", "|grad h|^2 * dn2 u", g2,
+             "multiplier", ("grad_h", "grad_h", "hess_u"), "flux_target",
              cond2),
-        term("quadratic gradient", "|grad h|^2 * dn2 u", "multiplier", g2,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["grad_h"], at(x)["hess_u"]],
-                 at(x)["flux_target"], 3),
+        term("curvature coefficient phi", "phi(grad h)", g2,
+             "nemytskij", gradients, "grad_h", cond2),
+        term("curvature coefficient psi", "psi_jk(grad h)", g2,
+             "nemytskij", gradients, "grad_h", cond2),
+        term("curvature product", "phi(grad h) * lap h", g2,
+             "multiplier", ("grad_h", "hess_h"), "gibbs_target", cond2),
+        term("kinematic gradient coupling", "grad h . trace grad u", g2,
+             "multiplier", ("grad_h", "trace_grad_u"), "kinematic_target",
              cond2),
-        term("curvature coefficient phi", "phi(grad h)", "nemytskij", g2,
-             lambda x: _nemytskij_thunk([at(x)["grad_h"]] * (n - 1),
-                                        at(x)["grad_h"], n - 1),
-             cond2),
-        term("curvature coefficient psi", "psi_jk(grad h)", "nemytskij", g2,
-             lambda x: _nemytskij_thunk([at(x)["grad_h"]] * (n - 1),
-                                        at(x)["grad_h"], n - 1),
-             cond2),
-        term("curvature product", "phi(grad h) * lap h", "multiplier", g2,
-             lambda x: _multiplier_thunk([at(x)["grad_h"], at(x)["hess_h"]],
-                                         at(x)["gibbs_target"], 2),
-             cond2),
-        term("kinematic gradient coupling", "grad h . trace grad u",
-             "multiplier", g2,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["trace_grad_u"]],
-                 at(x)["kinematic_target"], 2),
-             cond2),
-        term("kinematic quadratic coupling", "|grad h|^2 * trace dn u",
-             "multiplier", g2,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["grad_h"], at(x)["trace_grad_u"]],
-                 at(x)["kinematic_target"], 3),
-             cond2),
+        term("kinematic quadratic coupling", "|grad h|^2 * trace dn u", g2,
+             "multiplier", ("grad_h", "grad_h", "trace_grad_u"),
+             "kinematic_target", cond2),
         term("second-derivative membership", "lap h into the flux factor",
-             "embed", "1 < p < oo",
-             lambda x: _embed_thunk(at(x)["hess_h"], at(x)["dt_h"]),
-             every_p),
+             "1 < p < oo", "embed", ("hess_h",), "dt_h", every_p),
     ]
 
 
@@ -226,7 +200,8 @@ def _run_suite(problem: str, n: int, p: Rational | None,
     results: list[TermResult] = []
     if p is None:
         for chk in checks:
-            results.append(TermResult(chk, param_set=solve_param(chk.build(X))))
+            results.append(TermResult(
+                chk, param_set=solve_param(decision_thunk(chk.query(X)))))
         inter = ParamSet.unit_interval()
         for res in results:
             inter = inter.intersect(res.param_set)
@@ -235,8 +210,8 @@ def _run_suite(problem: str, n: int, p: Rational | None,
     else:
         x = AffineExpr.of(Fraction(1, 1) / Fraction(p))
         for chk in checks:
-            results.append(TermResult(
-                chk, decision=chk.build(x)(ParamEnv.concrete())))
+            decide = decision_thunk(chk.query(x))
+            results.append(TermResult(chk, decision=decide(ParamEnv.concrete())))
         inter = final = None
     excl = tuple((q, "app.exclusions") for q in exclusions)
     return SuiteReport(problem, n, p, facts, results, inter, final, excl,
@@ -304,87 +279,47 @@ def nvs_terms(n: int) -> list[TermCheck]:
     reqp1 = _x_upto(Fraction(2, n + 2), False)    # p > (n+2)/2
     reqp2 = _x_upto(Fraction(3, n + 2), True)     # p >= (n+2)/3
     g1w, g1, g2 = "p >= (n+2)/2", "p > (n+2)/2", "p >= (n+2)/3"
-    a = "app.nvs.mixed-derivative"
-
-    def term(name, text, kind, governing, build, expected):
-        return TermCheck(name, text, kind, governing, build, expected, a)
-
-    def at(x: AffineExpr):
-        return _nvs_spaces(n, x)
+    term = partial(_term, partial(_nvs_spaces, n), "app.nvs.mixed-derivative")
+    gradients = ("grad_h",) * (n - 1)
 
     return [
-        term("interface flux coupling", "(dt h - lap h) * dn {v, w}",
-             "mult", g1w,
-             lambda x: _mult_thunk([at(x)["hess_h"], at(x)["grad_u"]],
-                                   at(x)["flux_target"]),
-             reqp1w),
-        term("gradient transport", "(grad h . grad) dn {v, w}",
-             "multiplier", g1,
-             lambda x: _multiplier_thunk([at(x)["grad_h"], at(x)["hess_u"]],
-                                         at(x)["flux_target"], 2),
+        term("interface flux coupling", "(dt h - lap h) * dn {v, w}", g1w,
+             "mult", ("hess_h", "grad_u"), "flux_target", reqp1w),
+        term("gradient transport", "(grad h . grad) dn {v, w}", g1,
+             "multiplier", ("grad_h", "hess_u"), "flux_target", reqp1),
+        term("quadratic gradient", "|grad h|^2 dn2 {v, w}; grad h * dn q", g1,
+             "multiplier", ("grad_h", "grad_h", "hess_u"), "flux_target",
              reqp1),
-        term("quadratic gradient", "|grad h|^2 dn2 {v, w}; grad h * dn q",
-             "multiplier", g1,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["grad_h"], at(x)["hess_u"]],
-                 at(x)["flux_target"], 3),
-             reqp1),
-        term("convective transport", "(v . grad') {v, w}; w dn {v, w}",
-             "mult", g2,
-             lambda x: _mult_thunk([at(x)["u_bulk"], at(x)["grad_u_bulk"]],
-                                   at(x)["bulk_target"]),
-             reqp2),
+        term("convective transport", "(v . grad') {v, w}; w dn {v, w}", g2,
+             "mult", ("u_bulk", "grad_u_bulk"), "bulk_target", reqp2),
         term("interface convection (interface factor)",
-             "(v . grad h) dn {v, w}", "mult", g2,
-             lambda x: _mult_thunk([at(x)["grad_h"], at(x)["grad_u"]],
-                                   at(x)["flux_target"]),
-             reqp2),
+             "(v . grad h) dn {v, w}", g2,
+             "mult", ("grad_h", "grad_u"), "flux_target", reqp2),
         term("interface convection (bulk factor)",
-             "(v . grad h) dn {v, w}", "multiplier", g1,
-             lambda x: _multiplier_thunk(
-                 [at(x)["u_bulk"],
-                  at(x)["bulk_target"]], at(x)["bulk_target"], 2),
-             reqp1),
-        term("divergence correction (time part)", "dt grad h . v",
-             "mult", g2,
-             lambda x: _mult_thunk([at(x)["hess_h"], at(x)["u_interface"]],
-                                   at(x)["flux_target"]),
-             reqp2),
-        term("divergence correction (velocity part)", "grad h . dt v",
-             "multiplier", g1,
-             lambda x: _multiplier_thunk([at(x)["grad_h"], at(x)["hess_u"]],
-                                         at(x)["flux_target"], 2),
-             reqp1),
+             "(v . grad h) dn {v, w}", g1,
+             "multiplier", ("u_bulk", "bulk_target"), "bulk_target", reqp1),
+        term("divergence correction (time part)", "dt grad h . v", g2,
+             "mult", ("hess_h", "u_interface"), "flux_target", reqp2),
+        term("divergence correction (velocity part)", "grad h . dt v", g1,
+             "multiplier", ("grad_h", "hess_u"), "flux_target", reqp1),
         term("divergence correction (spatial, second-derivative factor)",
-             "dj grad h . dn v", "mult", g1w,
-             lambda x: _mult_thunk([at(x)["hess_h"], at(x)["grad_u"]],
-                                   at(x)["flux_target"]),
-             reqp1w),
-        term("kinematic coupling", "grad h . trace v", "multiplier", g1,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["stress_target"]],
-                 at(x)["stress_target"], 2),
+             "dj grad h . dn v", g1w,
+             "mult", ("hess_h", "grad_u"), "flux_target", reqp1w),
+        term("kinematic coupling", "grad h . trace v", g1,
+             "multiplier", ("grad_h", "stress_target"), "stress_target",
              reqp1),
-        term("curvature coefficient phi", "phi(grad h)", "nemytskij", g1,
-             lambda x: _nemytskij_thunk([at(x)["grad_h"]] * (n - 1),
-                                        at(x)["grad_h"], n - 1),
-             reqp1),
-        term("curvature coefficient psi", "psi_jk(grad h)", "nemytskij", g1,
-             lambda x: _nemytskij_thunk([at(x)["grad_h"]] * (n - 1),
-                                        at(x)["grad_h"], n - 1),
-             reqp1),
+        term("curvature coefficient phi", "phi(grad h)", g1,
+             "nemytskij", gradients, "grad_h", reqp1),
+        term("curvature coefficient psi", "psi_jk(grad h)", g1,
+             "nemytskij", gradients, "grad_h", reqp1),
         term("interface stress (single gradient)",
-             "[[ . ]] grad h; lap h grad h; G_sigma grad h", "multiplier", g1,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["stress_target"]],
-                 at(x)["stress_target"], 2),
+             "[[ . ]] grad h; lap h grad h; G_sigma grad h", g1,
+             "multiplier", ("grad_h", "stress_target"), "stress_target",
              reqp1),
         term("interface stress (quadratic gradient)",
-             "|grad h|^2 [[ . ]]", "multiplier", g1,
-             lambda x: _multiplier_thunk(
-                 [at(x)["grad_h"], at(x)["grad_h"], at(x)["stress_target"]],
-                 at(x)["stress_target"], 3),
-             reqp1),
+             "|grad h|^2 [[ . ]]", g1,
+             "multiplier", ("grad_h", "grad_h", "stress_target"),
+             "stress_target", reqp1),
     ]
 
 

@@ -23,18 +23,23 @@ from fractions import Fraction
 from typing import Callable
 
 from .anchors import anchor_text
-from .embed import (COUPLED, Decision, TraceEntry, Verdict, embeds,
-                    embeds_in, interpolate_complex, interpolate_real)
+from .embed import (COUPLED, Decision, embeds_in, interpolate_complex,
+                    interpolate_real)
 from .errors import EngineError, Unsupported
-from .multiply import (MultInstance, decide_algebra, decide_algebra_in,
-                       decide_multiplication, decide_multiplication_in,
-                       decide_multiplier, decide_multiplier_in)
-from .nemytskij import AnalyticSpec, decide_nemytskij, decide_nemytskij_in
+from .multiply import (MultInstance, decide_algebra_in,
+                       decide_multiplication_in, decide_multiplier_in)
+from .nemytskij import AnalyticSpec, ConstantsLedger, decide_nemytskij_in
 from .psolver import ParamSet, solve_param
 from .ratcore import (AffineExpr, ParamEnv, render_affine_p,
                       render_fraction)
 from .spaces import (SCALARS, Anisotropy, Scale, SpaceDescr, TargetSpace,
-                     lp_valued, sobolev_index)
+                     lp_valued, require_concrete, sobolev_index)
+
+# Unused here: the benchmark's traced run wraps these names in this module.
+from .embed import embeds  # noqa: F401
+from .multiply import (decide_algebra, decide_multiplication,  # noqa: F401
+                       decide_multiplier)
+from .nemytskij import decide_nemytskij  # noqa: F401
 
 SCHEMA = "anisocalc.report/1"
 
@@ -390,20 +395,11 @@ def _parse_query(cur: _Cursor) -> Query:
     if cur.take("algebra"):
         space = _parse_space(cur)
         cur.take("?")
-        return Query("algebra", {"space": space})
-    if cur.take("multiplier"):
-        cur.expect(":")
-        factors, target = _parse_mult_core(cur)
-        cur.take("?")
-        ell = _infer_pivot(factors, target, cur)
-        return Query("multiplier", {"factors": factors, "target": target,
-                                    "ell": ell})
-    if cur.take("nemytskij"):
-        cur.expect(":")
-        factors, target = _parse_mult_core(cur)
-        cur.take("?")
-        return Query("nemytskij", {"args": factors, "target": target,
-                                   "phi": AnalyticSpec(arity=len(factors))})
+        return Query("algebra", {"factors": (space,), "target": space})
+    for kind in _PREFIXED:
+        if cur.take(kind):
+            cur.expect(":")
+            return _parse_product(cur, kind)
     if cur.peek("["):
         cur.expect("[")
         a = _parse_space(cur)
@@ -434,41 +430,31 @@ def _parse_query(cur: _Cursor) -> Query:
                 q = Fraction(0)
             else:
                 q = cur.take_rational()
+                if q <= 0:  # 0 stands for oo internally
+                    raise cur.error("the functor parameter q must be positive")
         cur.expect("}")
         return Query("interp", {"method": "real", "a": a, "b": b,
                                 "theta": theta, "q": q})
-
-    first = _parse_space(cur)
-    cur.skip_ws()
-    if cur.peek("*"):
-        factors = [first]
-        while cur.take("*"):
-            factors.append(_parse_space(cur))
-        cur.expect("->")
-        target = _parse_space(cur)
-        cur.take("?")
-        return Query("mult", {"factors": tuple(factors), "target": target})
-    cur.expect("->")
-    second = _parse_space(cur)
-    cur.take("?")
-    return Query("embed", {"src": first, "dst": second})
+    return _parse_product(cur, None)
 
 
-def _parse_mult_core(cur: _Cursor) -> tuple[tuple[SpaceDescr, ...], SpaceDescr]:
+_PREFIXED = ("multiplier", "nemytskij")
+
+
+def _parse_product(cur: _Cursor, kind: str | None) -> Query:
+    """``A * ... -> T ?``; without a prefix one factor is an embedding and
+    more are a multiplication."""
     factors = [_parse_space(cur)]
     while cur.take("*"):
         factors.append(_parse_space(cur))
     cur.expect("->")
     target = _parse_space(cur)
-    return tuple(factors), target
-
-
-def _infer_pivot(factors: tuple[SpaceDescr, ...], target: SpaceDescr,
-                 cur: _Cursor) -> int:
-    for j, f in enumerate(factors, start=1):
-        if f == target:
-            return j
-    raise cur.error("multiplier queries need one factor equal to the target")
+    cur.take("?")
+    if kind == "multiplier" and target not in factors:
+        raise cur.error("multiplier queries need one factor equal to the target")
+    if kind is None:
+        kind = "embed" if len(factors) == 1 else "mult"
+    return Query(kind, {"factors": tuple(factors), "target": target})
 
 
 def format_query(q: Query) -> str:
@@ -478,18 +464,11 @@ def format_query(q: Query) -> str:
     if q.kind == "index":
         return f"index {p['space']}"
     if q.kind == "algebra":
-        return f"algebra {p['space']} ?"
-    if q.kind == "multiplier":
+        return f"algebra {p['target']} ?"
+    if q.kind in _RULES:
+        prefix = f"{q.kind}: " if q.kind in _PREFIXED else ""
         core = " * ".join(str(f) for f in p["factors"])
-        return f"multiplier: {core} -> {p['target']} ?"
-    if q.kind == "nemytskij":
-        core = " * ".join(str(f) for f in p["args"])
-        return f"nemytskij: {core} -> {p['target']} ?"
-    if q.kind == "mult":
-        core = " * ".join(str(f) for f in p["factors"])
-        return f"{core} -> {p['target']} ?"
-    if q.kind == "embed":
-        return f"{p['src']} -> {p['dst']} ?"
+        return f"{prefix}{core} -> {p['target']} ?"
     if q.kind == "interp":
         theta = render_fraction(p["theta"])
         if p["method"] == "complex":
@@ -499,6 +478,57 @@ def format_query(q: Query) -> str:
             "oo" if qq == 0 else render_fraction(qq))
         return f"({p['a']}, {p['b']})_{{{theta}, {tail}}}"
     raise Unsupported(f"unknown query kind {q.kind!r}")
+
+
+# --------------------------------------------------------------------------
+# decisions
+
+
+def _pivot(factors: tuple[SpaceDescr, ...], target: SpaceDescr) -> int:
+    """The factor a multiplier estimate keeps: the first one equal to the
+    target (1-based)."""
+    return factors.index(target) + 1
+
+
+def _mult_rule(factors, target):
+    inst = MultInstance.of(factors, target)
+    return lambda env: decide_multiplication_in(inst, env)
+
+
+def _multiplier_rule(factors, target):
+    inst = MultInstance.of(factors, target)
+    ell = _pivot(factors, target)
+    return lambda env: decide_multiplier_in(inst, ell, env)
+
+
+def _nemytskij_rule(factors, target):
+    phi = AnalyticSpec(arity=len(factors))
+    return lambda env: decide_nemytskij_in(factors, target, phi, env)[0]
+
+
+# Decision query kind -> rule, from the query's factors and target to its
+# decision at a ParamEnv.  A rule fixes what the query determines once; it
+# looks the decision function up as a dsl global at each evaluation.
+_RULES = {
+    "embed": lambda factors, target:
+        lambda env: embeds_in(factors[0], target, env),
+    "mult": _mult_rule,
+    "multiplier": _multiplier_rule,
+    "algebra": lambda factors, target:
+        lambda env: decide_algebra_in(target, env),
+    "nemytskij": _nemytskij_rule,
+}
+
+
+def decision_thunk(query: Query) -> Callable[[ParamEnv], Decision]:
+    """The decision of an embed, mult, multiplier, algebra or nemytskij
+    query at a parameter environment: concrete at ``ParamEnv.concrete()``,
+    symbolic through ``solve_param``."""
+    rule = _RULES.get(query.kind)
+    if rule is None:
+        raise Unsupported(f"'solve p:' applies to decision queries, not "
+                          f"{query.kind!r}")
+    return rule(query.payload["factors"], query.payload["target"])
 
 
 # --------------------------------------------------------------------------
@@ -526,24 +556,19 @@ def exit_code(exc: Exception) -> int:
 class Report:
     query: str
     kind: str
-    verdict: str | None = None
+    decision: Decision | None = None
     value: str | None = None
     param_set: ParamSet | None = None
-    trace: tuple[TraceEntry, ...] = ()
     params: dict = field(default_factory=dict)
     timing_ms: float | None = None
     exit_code: int = EXIT_COVERED
 
-    def first_failure(self) -> TraceEntry | None:
-        for e in self.trace:
-            if e.status.value == "FAIL":
-                return e
-        return None
+    @property
+    def verdict(self) -> str | None:
+        return None if self.decision is None else self.decision.verdict.value
 
     def to_text(self, explain: bool = False) -> str:
         lines = [f"query: {self.query}"]
-        if self.verdict is not None:
-            lines.append(f"verdict: {self.verdict}")
         if self.value is not None:
             lines.append(f"value: {self.value}")
         if self.param_set is not None:
@@ -551,12 +576,13 @@ class Report:
             lines.append(f"x-range: {self.param_set.describe_x()}")
             for e in self.param_set.excluded:
                 lines.append(f"  excluded: x = {render_fraction(e.x)} ({e.reason})")
-        fail = self.first_failure()
-        if self.verdict == Verdict.NOT_COVERED.value and fail is not None:
-            lines.append(f"first failed condition: {fail.label} [{fail.anchor}]")
-        if self.trace:
+        if self.decision is not None:
+            lines.append(f"verdict: {self.verdict}")
+            fail = self.decision.first_failure()
+            if fail is not None:
+                lines.append(f"first failed condition: {fail.label} [{fail.anchor}]")
             lines.append("trace:")
-            for e in self.trace:
+            for e in self.decision.trace:
                 note = f" ({e.note})" if e.note else ""
                 lines.append(f"  [{e.status.value:>4}] {e.label} [{e.anchor}]{note}")
                 if explain:
@@ -568,8 +594,9 @@ class Report:
         return "\n".join(lines)
 
     def to_machine(self) -> dict:
-        fail = self.first_failure()
-        out = {
+        trace = () if self.decision is None else self.decision.trace
+        fail = None if self.decision is None else self.decision.first_failure()
+        return {
             "schema": SCHEMA,
             "kind": self.kind,
             "query": self.query,
@@ -582,84 +609,49 @@ class Report:
             "trace": [
                 {"label": e.label, "anchor": e.anchor,
                  "status": e.status.value, "note": e.note}
-                for e in self.trace
+                for e in trace
             ],
             "params": self.params,
         }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_machine(), sort_keys=True)
 
 
-def _verdict_report(query: Query, decision: Decision, **params) -> Report:
-    code = EXIT_COVERED if decision.covered else EXIT_NOT_COVERED
-    return Report(format_query(query), query.kind,
-                  verdict=decision.verdict.value, trace=decision.trace,
-                  params=params, exit_code=code)
-
-
-def _symbolic(spaces: list[SpaceDescr]) -> bool:
-    return any(not sp.is_concrete for sp in spaces)
-
-
 def run(query: Query) -> Report:
     """Evaluate a parsed query and build its report."""
     p = query.payload
+    text = format_query(query)
     if query.kind == "solve-p":
         inner: Query = p["inner"]
-        ps = solve_param(_decision_thunk(inner))
+        ps = solve_param(decision_thunk(inner))
         code = EXIT_COVERED if not ps.is_empty else EXIT_NOT_COVERED
-        return Report(format_query(query), "solve-p", param_set=ps,
+        return Report(text, "solve-p", param_set=ps,
                       params={"inner_kind": inner.kind}, exit_code=code)
     if query.kind == "index":
         space: SpaceDescr = p["space"]
         idx = sobolev_index(space)
         name = "w-ind" if space.scale is Scale.L else "ind"
-        return Report(format_query(query), "index",
-                      value=f"{name} = {render_affine_p(idx)}")
-    if query.kind == "embed":
-        return _verdict_report(query, embeds(p["src"], p["dst"]))
-    if query.kind == "mult":
-        inst = MultInstance.of(p["factors"], p["target"])
-        return _verdict_report(query, decide_multiplication(inst))
-    if query.kind == "multiplier":
-        inst = MultInstance.of(p["factors"], p["target"])
-        return _verdict_report(query, decide_multiplier(inst, p["ell"]),
-                               pivot=p["ell"])
-    if query.kind == "algebra":
-        return _verdict_report(query, decide_algebra(p["space"]))
-    if query.kind == "nemytskij":
-        decision, ledger = decide_nemytskij(list(p["args"]), p["target"],
-                                            p["phi"])
-        params = {}
-        if ledger is not None:
-            params["rho_rule"] = ledger.rho_rule
-            params["L_dependence"] = ", ".join(ledger.L_dependence)
-        return _verdict_report(query, decision, **params)
+        return Report(text, "index", value=f"{name} = {render_affine_p(idx)}")
     if query.kind == "interp":
         if p["method"] == "complex":
             out = interpolate_complex(p["a"], p["b"], p["theta"])
         else:
             out = interpolate_real(p["a"], p["b"], p["theta"], p["q"])
-        return Report(format_query(query), "interp", value=str(out))
-    raise Unsupported(f"unknown query kind {query.kind!r}")
-
-
-def _decision_thunk(query: Query) -> Callable[[ParamEnv], Decision]:
-    p = query.payload
-    if query.kind == "embed":
-        return lambda env: embeds_in(p["src"], p["dst"], env)
-    if query.kind == "mult":
-        inst = MultInstance.of(p["factors"], p["target"])
-        return lambda env: decide_multiplication_in(inst, env)
+        return Report(text, "interp", value=str(out))
+    # building the thunk checks the instance, so its errors come before the
+    # refusal of symbolic integrability
+    decide = decision_thunk(query)
+    require_concrete(*p["factors"], p["target"])
+    decision = decide(ParamEnv.concrete())
+    params = {}
     if query.kind == "multiplier":
-        inst = MultInstance.of(p["factors"], p["target"])
-        return lambda env: decide_multiplier_in(inst, p["ell"], env)
-    if query.kind == "algebra":
-        return lambda env: decide_algebra_in(p["space"], env)
-    if query.kind == "nemytskij":
-        return lambda env: decide_nemytskij_in(list(p["args"]), p["target"],
-                                               p["phi"], env)[0]
-    raise Unsupported(f"'solve p:' applies to decision queries, not "
-                      f"{query.kind!r}")
+        params["pivot"] = _pivot(p["factors"], p["target"])
+    if query.kind == "nemytskij" and decision.covered:
+        ledger = ConstantsLedger.standard(
+            AnalyticSpec(arity=len(p["factors"])).radius)
+        params["rho_rule"] = ledger.rho_rule
+        params["L_dependence"] = ", ".join(ledger.L_dependence)
+    code = EXIT_COVERED if decision.covered else EXIT_NOT_COVERED
+    return Report(text, query.kind, decision=decision, params=params,
+                  exit_code=code)

@@ -284,7 +284,7 @@ def test_criterion_11_trace_completeness():
         rep = run(parse_query(line))
         if rep.verdict == "NOT_COVERED":
             total += 1
-            fail = rep.first_failure()
+            fail = rep.decision.first_failure()
             if fail is None or not fail.label or not fail.anchor:
                 failures += 1
     for n in (2, 3):

@@ -138,8 +138,8 @@ def test_run_index_report():
 def test_run_trace_has_anchors():
     rep = run(parse_query("L^{(1)}_4(R^3) * L^{(1)}_4(R^3) -> L^{(1)}_3(R^3) ?"))
     assert rep.verdict == "NOT_COVERED"
-    assert rep.first_failure() is not None
-    assert all(e.anchor for e in rep.trace)
+    assert rep.decision.first_failure() is not None
+    assert all(e.anchor for e in rep.decision.trace)
     assert rep.exit_code == 1
 
 
@@ -169,7 +169,7 @@ def test_golden_corpus_failures_name_conditions():
     for line in _corpus_lines():
         rep = run(parse_query(line))
         if rep.verdict == "NOT_COVERED":
-            fail = rep.first_failure()
+            fail = rep.decision.first_failure()
             assert fail is not None and fail.label and fail.anchor
 
 
@@ -190,6 +190,11 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="complex-theta"),
     pytest.param(["interp", "(L^{(1)}_2(R^2), L^{(1)}_6(R^2))_{3/2}"], 2,
                  id="real-theta"),
+    pytest.param(["interp", "(H^{1,(2,1)}_3(JxSigma), "
+                  "H^{3,(2,1)}_3(JxSigma))_{1/2, 0}"], 2, id="real-q-zero"),
+    pytest.param(["interp", "(H^{1,(2,1)}_3(JxSigma), "
+                  "H^{3,(2,1)}_3(JxSigma))_{1/2, 0/5}"], 2,
+                 id="real-q-zero-fraction"),
     pytest.param(["seminorm", "--space", _W, "--sigma", "x"], 2,
                  id="seminorm-sigma"),
     pytest.param(["seminorm", "--space", _W, "--spacing", "0"], 2,

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance,
-                       ParamSet, SpaceDescr, Verdict, X, lp_valued,
-                       solve_param)
+                       NotIdentifiable, ParamSet, SpaceDescr, Verdict, X,
+                       lp_valued, solve_param)
+from anisocalc.appsuite import run_nvs, run_stefan
+from anisocalc.dsl import decision_thunk, parse_query, run
 from anisocalc.multiply import (decide_algebra_in, decide_multiplication_in,
                                 decide_multiplier_in)
 from anisocalc.psolver import ExcludedPoint, Interval
@@ -171,3 +174,48 @@ def test_isolated_rewrite_failure_becomes_exclusion():
     assert not ps.contains(F(1, 2))
     assert ps.contains(F(127, 256))
     assert ps.describe_p() == "(4/3, oo) minus {p = 2}"
+
+
+def _solved_cases():
+    """(label, decision query, solved set) for every golden ``solve p:``
+    line and every checklist term for n = 2..5."""
+    golden = Path(__file__).parent / "golden" / "queries.txt"
+    cases = []
+    for line in golden.read_text().splitlines():
+        if line.startswith("solve p:"):
+            query = parse_query(line)
+            cases.append((line, query.payload["inner"], run(query).param_set))
+    for suite in (run_stefan, run_nvs):
+        for n in range(2, 6):
+            for term in suite(n).terms:
+                cases.append((f"{suite.__name__}({n}) {term.check.name}",
+                              term.check.query(X), term.param_set))
+    return cases
+
+
+def _covered_at(decide, x: F) -> bool:
+    try:
+        return decide(ParamEnv(x)).covered
+    except NotIdentifiable:
+        return False
+
+
+def test_solved_sets_agree_with_concrete_decisions_at_endpoints():
+    # inclusivity is where the theorems differ: evaluate every endpoint and
+    # excluded point of each solved set, and its neighbours at 1e-6
+    eps = F(1, 10**6)
+    cases = _solved_cases()
+    assert len(cases) == 5 + 4 * (9 + 14)
+    checked, wrong = 0, []
+    for label, query, ps in cases:
+        decide = decision_thunk(query)
+        points = {e.x for e in ps.excluded}
+        points.update(b for iv in ps.intervals for b in (iv.lo, iv.hi))
+        for x in sorted(points):
+            for x0 in (x - eps, x, x + eps):
+                if 0 < x0 < 1:
+                    checked += 1
+                    if _covered_at(decide, x0) != ps.contains(x0):
+                        wrong.append((label, x0))
+    assert wrong == []
+    assert checked >= 3 * len(cases)
