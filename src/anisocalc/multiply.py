@@ -112,7 +112,7 @@ def _subset_index_signs(ind: AffineExpr, inds: Sequence[AffineExpr],
             d = total - vt
             signs.append((d > 0) - (d < 0))
         else:
-            signs.append(env.sign(total - vt))
+            signs.append(env.cmp(total, vt))
     return signs
 
 

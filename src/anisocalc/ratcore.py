@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import Unsupported
 
@@ -177,15 +177,23 @@ class BreakpointRecorder:
 
     points: set[Fraction] = field(default_factory=set)
 
-    def note_root(self, e: AffineExpr) -> None:
-        r = e.root()
-        if r is not None and 0 < r < 1:
-            self.points.add(r)
 
-    def note_points(self, xs: Iterable[Fraction]) -> None:
-        for x in xs:
-            if 0 < x < 1:
-                self.points.add(x)
+def _lowered(e: AffineLike) -> tuple[int, int, int]:
+    """Integers (A, B, D) with ``e = (A + B*x) / D`` and D > 0.
+
+    A scalar lowers with B = 0; an affine form caches its triple, as it
+    caches its hash, so each form is lowered once.
+    """
+    if type(e) is not AffineExpr:
+        return e.numerator, 0, e.denominator
+    t = e.__dict__.get("_ints")
+    if t is None:
+        c, s = e.constant, e.slope
+        d = math.lcm(c.denominator, s.denominator)
+        t = (c.numerator * (d // c.denominator),
+             s.numerator * (d // s.denominator), d)
+        object.__setattr__(e, "_ints", t)
+    return t
 
 
 class ParamEnv:
@@ -194,34 +202,49 @@ class ParamEnv:
 
     All decision code routes its comparisons through this object, so a
     single implementation serves both concrete verdicts and the symbolic
-    parameter solver.
+    parameter solver.  Without a recorder, comparisons evaluate both sides
+    at the witness; with one, they go through the integer kernel
+    :meth:`_recorded_sign`.
     """
 
-    __slots__ = ("witness", "recorder")
+    __slots__ = ("witness", "recorder", "_u", "_v")
 
     def __init__(self, witness: RationalLike = Fraction(1, 2),
                  recorder: BreakpointRecorder | None = None):
         self.witness = Fraction(witness)
         self.recorder = recorder
+        self._u, self._v = self.witness.numerator, self.witness.denominator
 
     @classmethod
     def concrete(cls) -> "ParamEnv":
         return cls(Fraction(1, 2), None)
 
-    def sign(self, e: AffineLike) -> int:
-        expr = AffineExpr.of(e)
-        if self.recorder is not None:
-            self.recorder.note_root(expr)
-        v = expr.constant if expr.slope == 0 else expr(self.witness)
+    def _recorded_sign(self, lhs: tuple[int, int, int],
+                       rhs: tuple[int, int, int]) -> int:
+        """Sign of lhs - rhs at the witness, for lowered forms; the root of
+        the difference is recorded when it lies in (0, 1).
+
+        The difference is (a + b*x) / (D1*D2) with a positive denominator,
+        so its root is -a/b and its sign at x = u/v is that of a*v + b*u.
+        """
+        a1, b1, d1 = lhs
+        a2, b2, d2 = rhs
+        a = a1 * d2 - a2 * d1
+        b = b1 * d2 - b2 * d1
+        if (-b < a < 0) if b > 0 else (0 < a < -b):
+            self.recorder.points.add(Fraction(-a, b))
+        v = a * self._v + b * self._u
         return (v > 0) - (v < 0)
+
+    def sign(self, e: AffineLike) -> int:
+        return self.cmp(e, 0)
 
     def value(self, e: AffineLike):
         if type(e) is AffineExpr:
             return e.constant if e.slope == 0 else e.constant + e.slope * self.witness
         return e
 
-    # comparison helpers (lhs ? rhs); without a recorder the difference
-    # form need not be materialized
+    # comparison helpers (lhs ? rhs)
 
     def lt(self, lhs: AffineLike, rhs: AffineLike) -> bool:
         if self.recorder is None:
@@ -232,34 +255,34 @@ class ParamEnv:
                 rhs = rhs.constant if rhs.slope == 0 else \
                     rhs.constant + rhs.slope * self.witness
             return lhs < rhs
-        return self.sign(AffineExpr.of(lhs) - rhs) < 0
+        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) < 0
 
     def le(self, lhs: AffineLike, rhs: AffineLike) -> bool:
         if self.recorder is None:
             return not self.lt(rhs, lhs)
-        return self.sign(AffineExpr.of(lhs) - rhs) <= 0
+        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) <= 0
 
     def gt(self, lhs: AffineLike, rhs: AffineLike) -> bool:
         if self.recorder is None:
             return self.lt(rhs, lhs)
-        return self.sign(AffineExpr.of(lhs) - rhs) > 0
+        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) > 0
 
     def ge(self, lhs: AffineLike, rhs: AffineLike) -> bool:
         if self.recorder is None:
             return not self.lt(lhs, rhs)
-        return self.sign(AffineExpr.of(lhs) - rhs) >= 0
+        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) >= 0
 
     def eq(self, lhs: AffineLike, rhs: AffineLike) -> bool:
         if self.recorder is None:
             return self.value(lhs) == self.value(rhs)
-        return self.sign(AffineExpr.of(lhs) - rhs) == 0
+        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) == 0
 
     def cmp(self, lhs: AffineLike, rhs: AffineLike) -> int:
-        """Sign of lhs - rhs at the witness (recording the difference)."""
+        """Sign of lhs - rhs at the witness."""
         if self.recorder is None:
             va, vb = self.value(lhs), self.value(rhs)
             return (va > vb) - (va < vb)
-        return self.sign(AffineExpr.of(lhs) - rhs)
+        return self._recorded_sign(_lowered(lhs), _lowered(rhs))
 
     def sum_sign(self, terms, rhs: AffineLike) -> int:
         """Sign of sum(terms) - rhs at the witness."""
@@ -270,25 +293,36 @@ class ParamEnv:
                 total = v if total is None else total + v
             v = (total if total is not None else 0) - self.value(rhs)
             return (v > 0) - (v < 0)
-        total = AffineExpr()
+        a, b, d = 0, 0, 1
         for t in terms:
-            total = total + t
-        return self.sign(total - rhs)
+            ta, tb, td = _lowered(t)
+            a, b, d = a * td + ta * d, b * td + tb * d, d * td
+        return self._recorded_sign((a, b, d), _lowered(rhs))
 
-    def is_multiple(self, e: AffineLike, modulus: RationalLike, *,
+    def is_multiple(self, e: AffineLike, modulus: int | Fraction, *,
                     allow_zero: bool = True) -> bool:
         """Whether e(x) is an integer multiple of ``modulus`` at the witness
         (nonnegative multiples; positive ones if ``allow_zero`` is false).
 
         For non-constant forms this holds on at most finitely many x, which
-        are recorded as case-split points.
+        are recorded as case-split points.  They do not depend on the
+        witness, so each form keeps them, keyed by ``(modulus,
+        allow_zero)``.
         """
-        expr = AffineExpr.of(e)
-        m = Fraction(modulus)
-        if self.recorder is not None and not expr.is_constant:
-            self.recorder.note_points(
-                multiples_in_unit_interval(expr, m, allow_zero=allow_zero))
-        q = expr(self.witness) / m
-        if q.denominator != 1:
+        if self.recorder is not None and type(e) is AffineExpr and e.slope:
+            splits = e.__dict__.get("_splits")
+            if splits is None:
+                splits = {}
+                object.__setattr__(e, "_splits", splits)
+            key = (modulus, allow_zero)
+            points = splits.get(key)
+            if points is None:
+                points = splits[key] = tuple(multiples_in_unit_interval(
+                    e, modulus, allow_zero=allow_zero))
+            self.recorder.points.update(points)
+        a, b, d = _lowered(e)
+        num = (a * self._v + b * self._u) * modulus.denominator
+        den = d * self._v * modulus.numerator
+        if num % den:
             return False
-        return q >= (0 if allow_zero else 1)
+        return num // den >= (0 if allow_zero else 1)

@@ -219,3 +219,20 @@ def test_solved_sets_agree_with_concrete_decisions_at_endpoints():
                         wrong.append((label, x0))
     assert wrong == []
     assert checked >= 3 * len(cases)
+
+
+def test_large_slope_solved_set_agrees_at_endpoints():
+    # W^{221/p} crosses an odd integer, where its slice ratio over weight 1
+    # is an integer and it is no multiple of lcm(w) = 2, at x = k/221 for
+    # every odd k in the covered range: one genuine excluded point each
+    query = parse_query(
+        "solve p: nemytskij: W^{2-1/p,(2,1)}_p(JxSigma) * "
+        "W^{221/p,(2,1)}_p(JxSigma) -> W^{2-1/p,(2,1)}_p(JxSigma) ?")
+    ps = run(query).param_set
+    assert ps.intervals == (Interval(F(1, 111), True, F(2, 5), False),)
+    assert [e.x for e in ps.excluded] == [F(k, 221) for k in range(3, 88, 2)]
+    decide = decision_thunk(query.payload["inner"])
+    eps = F(1, 10**6)
+    for x in (F(1, 111), F(2, 5), *(e.x for e in ps.excluded)):
+        for x0 in (x - eps, x, x + eps):
+            assert _covered_at(decide, x0) == ps.contains(x0), x0

@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from anisocalc.ratcore import (AffineExpr, BreakpointRecorder, ParamEnv, X,
@@ -105,6 +105,119 @@ def test_env_divisibility_at_witness():
     assert env.is_multiple(AffineExpr(F(5, 2), F(-1)), 2)
     assert env.is_multiple(AffineExpr(F(5, 2), F(-1)), 2, allow_zero=False)
     assert not env.is_multiple(AffineExpr(F(1), F(-1)), 2, allow_zero=False)
+
+
+_BIG = 10**6
+
+
+def _rationals(min_den: int = 1):
+    """Numerators and denominators up to a million in absolute value."""
+    return st.builds(F, st.integers(-_BIG, _BIG), st.integers(min_den, _BIG))
+
+
+@st.composite
+def _witness(draw):
+    den = draw(st.integers(2, _BIG))
+    return F(draw(st.integers(1, den - 1)), den)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(witness, lhs, rhs) with lhs - rhs of every shape the kernel must
+    handle: random, identical, constant (zero slope) and with its root at
+    0, at 1 or at the witness."""
+    w = draw(_witness())
+    lhs = AffineExpr(draw(_rationals()),
+                     draw(st.one_of(st.just(F(0)), _rationals())))
+    shape = draw(st.sampled_from(("random", "equal", "constant", "root-0",
+                                  "root-1", "root-w", "scalar")))
+    if shape == "random":
+        rhs = AffineExpr(draw(_rationals()), draw(_rationals()))
+    elif shape == "equal":
+        rhs = AffineExpr(lhs.constant, lhs.slope)
+    elif shape == "constant":
+        rhs = lhs - draw(_rationals())
+    elif shape == "scalar":
+        rhs = draw(st.one_of(_rationals(), st.integers(-_BIG, _BIG)))
+    else:
+        root = {"root-0": F(0), "root-1": F(1), "root-w": w}[shape]
+        rhs = lhs - draw(_rationals().filter(bool)) * (X - root)
+    return w, lhs, rhs
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_kernel_cases())
+def test_recorded_comparisons_match_fraction_reference(case):
+    w, lhs, rhs = case
+    diff = lhs - rhs
+    v = diff(w)
+    want = (v > 0) - (v < 0)
+    root = diff.root()
+    roots = {root} if root is not None and 0 < root < 1 else set()
+    for op, expect in (("cmp", want), ("sign", want), ("lt", want < 0),
+                       ("le", want <= 0), ("gt", want > 0),
+                       ("ge", want >= 0), ("eq", want == 0)):
+        rec = BreakpointRecorder()
+        env = ParamEnv(w, rec)
+        got = env.sign(diff) if op == "sign" else getattr(env, op)(lhs, rhs)
+        assert got == expect, op
+        assert rec.points == roots, op
+        concrete = ParamEnv(w)
+        assert (concrete.sign(diff) if op == "sign"
+                else getattr(concrete, op)(lhs, rhs)) == expect, op
+    rec = BreakpointRecorder()
+    terms = [lhs, rhs, X]
+    total = lhs + rhs + X
+    assert ParamEnv(w, rec).sum_sign(terms, rhs) == \
+        ParamEnv(w).sum_sign(terms, rhs) == ParamEnv(w).sign(total - rhs)
+    r = (total - rhs).root()
+    assert rec.points == ({r} if r is not None and 0 < r < 1 else set())
+
+
+@st.composite
+def _multiple_cases(draw):
+    """(witness, form, modulus); the slope stays within 50 and the modulus
+    in [1, 6], so a form has few multiples in (0, 1), and some forms hit a
+    multiple at the witness exactly."""
+    w = draw(_witness())
+    mden = draw(st.integers(1, _BIG))
+    m = draw(st.sampled_from((1, 2, 3, 6, F(draw(st.integers(mden, 6 * mden)),
+                                             mden))))
+    slope = draw(st.one_of(st.just(F(0)), _rationals(min_den=_BIG // 50)))
+    if draw(st.booleans()):
+        e = AffineExpr(draw(st.integers(-3, 3)) * m - slope * w, slope)
+    else:
+        e = AffineExpr(draw(_rationals()), slope)
+    return w, e, m
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_multiple_cases())
+def test_case_splits_match_fraction_reference(case):
+    w, e, m = case
+    q = e(w) / m
+    # both flags on one form, so the memo must keep them apart; the second
+    # witness reads the memo
+    for allow_zero in (True, False, True):
+        want = q.denominator == 1 and q >= (0 if allow_zero else 1)
+        splits = multiples_in_unit_interval(e, m, allow_zero=allow_zero)
+        for x in (w, F(1, 2)):
+            rec = BreakpointRecorder()
+            got = ParamEnv(x, rec).is_multiple(e, m, allow_zero=allow_zero)
+            assert rec.points == set(splits)
+            if x == w:
+                assert got == want
+        assert ParamEnv(w).is_multiple(e, m, allow_zero=allow_zero) == want
+        # no caller can change what a later call returns or records
+        expected = list(splits)
+        splits.append(F(1, 3))
+        assert multiples_in_unit_interval(e, m, allow_zero=allow_zero) == \
+            expected
+        rec = BreakpointRecorder()
+        ParamEnv(w, rec).is_multiple(e, m, allow_zero=allow_zero)
+        assert rec.points == set(expected)
 
 
 def test_renderers():
