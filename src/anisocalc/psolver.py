@@ -93,10 +93,6 @@ class ParamSet:
                 raise ValueError("intervals must be sorted and disjoint")
 
     @staticmethod
-    def empty() -> "ParamSet":
-        return ParamSet()
-
-    @staticmethod
     def unit_interval() -> "ParamSet":
         return ParamSet((Interval(Fraction(0), False, Fraction(1), False),))
 

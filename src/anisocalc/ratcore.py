@@ -112,9 +112,6 @@ AffineLike = Union[AffineExpr, Fraction, int]
 #: The symbolic integrability variable x = 1/p itself.
 X = AffineExpr(Fraction(0), Fraction(1))
 
-ZERO = AffineExpr()
-ONE = AffineExpr(Fraction(1))
-
 
 def render_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -201,6 +201,12 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="seminorm-spacing"),
     pytest.param(["seminorm", "--space", _W, "--dilations", "0,1"], 2,
                  id="seminorm-dilation"),
+    pytest.param(["seminorm", "--space", _W, "--freq", "1,2"], 2,
+                 id="seminorm-freq-count"),
+    pytest.param(["seminorm", "--space", _W, "--freq", "1,7,9"], 2,
+                 id="seminorm-freq-count-3"),
+    pytest.param(["seminorm", "--space", _W, "--radius", "0"], 2,
+                 id="seminorm-radius"),
     pytest.param(["realize", "--sigma", "1/0", "--pi", "1/2", "--rho", "1/2"],
                  2, id="realize-zero-denominator"),
     pytest.param(["app", "stefan", "--n", "3", "--p", "0"], 2, id="app-p"),
@@ -212,6 +218,8 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="l1-operand"),
     pytest.param(["interp", f"[L^{{(1)}}_oo(R^2), {_H}]_{{1/2}}"], 3,
                  id="loo-operand"),
+    pytest.param(["seminorm", "--space", "W^{1/2,(1)}_2(R^{4})"], 3,
+                 id="seminorm-slice-dim"),
 ])
 def test_cli_exit_codes(args, code):
     # a refusal is one line on stderr, never a traceback (exit 1)
@@ -220,6 +228,14 @@ def test_cli_exit_codes(args, code):
     assert res.exception is None or isinstance(res.exception, SystemExit)
     if code >= 2:
         assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+
+
+def test_cli_seminorm_names_a_nonpositive_radius():
+    # a zero radius used to surface as a math domain error from the
+    # step-size range
+    res = CliRunner().invoke(main, ["seminorm", "--space", _W, "--radius", "0"])
+    assert res.exit_code == 2
+    assert "grid radius must be positive" in res.stderr
 
 
 def test_cli_malformed_prelude_is_a_usage_error(tmp_path):

@@ -1,6 +1,7 @@
 """Numerical seminorm probes: quadrature sanity and scaling laws."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import anisocalc
 from anisocalc import (SCALARS, MultInstance, SpaceDescr, isotropic,
                        parabolic)
+from anisocalc.cli import main
 from anisocalc.errors import (ResolutionError, UncoveredInstance, WrongScale)
 from anisocalc.normlab import (GaussianSpec, GridFunction,
                                _difference_power_sum, check_product_estimate,
@@ -169,6 +172,15 @@ def test_dilation_fit_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("spec", [GaussianSpec((1.0, 2.0)),
+                                  GaussianSpec((1.0,), (1.0, 2.0))],
+                         ids=["sigmas", "freqs"])
+def test_gaussian_refuses_a_wrong_axis_count(spec):
+    # the dilation used to drop the values past the last axis silently
+    with pytest.raises(ValueError, match="per axis"):
+        dilation_scaling_exponent(W12, spec, [1.0], (0.02,), 12.0)
+
+
 def test_quadrature_convergence_under_halving():
     coarse = seminorm_slobodeckij(_gauss(dx=0.04), W12).value
     fine = seminorm_slobodeckij(_gauss(dx=0.02), W12).value
@@ -224,6 +236,55 @@ def test_besov_slobodeckij_equivalence_ratio():
         w = seminorm_slobodeckij(u, W12).value
         b = seminorm_besov(u, B12).value
         assert 0.1 <= b / w <= 10.0
+
+
+@pytest.mark.parametrize("s, aniso, label, u", [
+    (F(1, 2), ISO1, "R^1", _gauss(dx=0.04, radius=8.0)),
+    (F(3, 4), ISO1, "R^1", _gauss(dx=0.04, radius=8.0)),
+    (F(1, 2), parabolic(1), "JxSigma",
+     GaussianSpec((1.0, 1.0)).sample((1, 1), (0.1, 0.1), 5.0)),
+], ids=["R1-1/2", "R1-3/4", "parabolic-1/2"])
+def test_besov_at_q_equal_p_is_slobodeckij_below_one(s, aniso, label, u):
+    # with 0 < s/w_k < 1 on every slice both scales take first differences
+    # of u itself at q = p: the identity behind the W -> B rewrite
+    w = SpaceDescr.sobolev(s, F(1, 2), aniso, SCALARS, label)
+    b = SpaceDescr.besov(s, F(1, 2), aniso, None, SCALARS, label)
+    rw, rb = seminorm_slobodeckij(u, w), seminorm_besov(u, b)
+    assert rb.value == rw.value
+    assert rb.truncation_error_estimate == rw.truncation_error_estimate
+
+
+def test_seminorm_meta_slices():
+    # ``order`` counts derivatives on W and differences on B; the traced
+    # benchmark prices each evaluation from these keys
+    u = _gauss(dx=0.04, radius=8.0)
+    w = SpaceDescr.sobolev(F(3, 2), F(1, 3), ISO1, SCALARS, "R^1")
+    assert seminorm_slobodeckij(u, w).meta == {"slices": [
+        {"slice": 1, "order": 1, "sigma": 0.5, "radial_nodes": 53,
+         "r_range": (0.02, 32.0)}]}
+    u2 = GaussianSpec((1.0, 1.0)).sample((1, 1), (0.1, 0.1), 5.0)
+    b = SpaceDescr.besov(F(3, 2), F(1, 2), parabolic(1), F(1, 4), SCALARS,
+                         "JxSigma")
+    assert seminorm_besov(u2, b).meta == {"slices": [
+        {"slice": k, "order": order, "sigma": sigma, "radial_nodes": 43,
+         "r_range": (0.05, 20.0)}
+        for k, order, sigma in ((1, 1, 0.75), (2, 2, 1.5))]}
+
+
+def test_cli_table_equals_library_fit():
+    space = "W^{1/2,(2,1)}_2(R^{1x1})"
+    opts = ["seminorm", "--space", space, "--sigma", "1", "--spacing", "1/10",
+            "--radius", "5", "--machine"]
+    res = CliRunner().invoke(main, [*opts, "--dilations", "1/2,1,2"])
+    assert res.exit_code == 0, res.stderr
+    rows = [tuple(r) for r in json.loads(res.stdout)["rows"]]
+    sp = SpaceDescr.sobolev(F(1, 2), F(1, 2), parabolic(1), SCALARS, "JxSigma")
+    _, pts = dilation_scaling_exponent(sp, GaussianSpec((1.0, 1.0)),
+                                       [0.5, 1.0, 2.0], (0.1, 0.1), 5.0)
+    assert rows == pts
+    res = CliRunner().invoke(main, opts)
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["value"] == pts[1][1]
 
 
 def test_hoelder_probe():
