@@ -7,10 +7,9 @@ symbolically; and numerically probes the intrinsic seminorms.
 """
 
 from .embed import (COUPLED, Decision, Status, TraceEntry, Verdict, embeds,
-                    interpolate_complex, interpolate_real, slice_embed)
-from .errors import (BadSlice, ClosureFromUncovered, EngineError,
-                     HypothesisViolation, IncompatibleSpaces, InfeasibleRange,
-                     NoInterpolationRule, NotAnIntersectionForm,
+                    interpolate_complex, interpolate_real)
+from .errors import (ClosureFromUncovered, EngineError, HypothesisViolation,
+                     IncompatibleSpaces, InfeasibleRange, NoInterpolationRule,
                      NotIdentifiable, ResolutionError, UncoveredInstance,
                      Unsupported, WrongScale)
 from .lemmas import (MinimizationInput, MinimizerRule, RealizationInput,
@@ -20,28 +19,25 @@ from .multiply import (MultInstance, decide_algebra, decide_multiplication,
                        reduced_multiplication)
 from .nemytskij import AnalyticSpec, ConstantsLedger, decide_nemytskij
 from .psolver import ExcludedPoint, Interval, ParamSet, solve_param
-from .ratcore import AffineExpr, ParamEnv, Rational, X, rat
-from .spaces import (SCALARS, Anisotropy, MultSignature, Scale, SpaceDescr,
-                     TargetSpace, isotropic, lp_valued, normalize, parabolic,
-                     recognize_intersection, register_signature,
-                     sobolev_index)
+from .ratcore import AffineExpr, ParamEnv, Rational, X
+from .spaces import (SCALARS, Anisotropy, Scale, SpaceDescr, TargetSpace,
+                     isotropic, lp_valued, normalize, parabolic, sobolev_index)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineExpr", "AnalyticSpec", "Anisotropy", "BadSlice",
+    "AffineExpr", "AnalyticSpec", "Anisotropy",
     "ClosureFromUncovered", "ConstantsLedger", "COUPLED", "Decision",
     "EngineError", "ExcludedPoint", "HypothesisViolation",
     "IncompatibleSpaces", "InfeasibleRange", "Interval", "MinimizationInput",
-    "MinimizerRule", "MultInstance", "MultSignature", "NoInterpolationRule",
-    "NotAnIntersectionForm", "NotIdentifiable", "ParamEnv", "ParamSet",
+    "MinimizerRule", "MultInstance", "NoInterpolationRule",
+    "NotIdentifiable", "ParamEnv", "ParamSet",
     "Rational", "RealizationInput", "ResolutionError", "SCALARS", "Scale",
     "SpaceDescr", "Status", "TargetSpace", "TraceEntry", "UncoveredInstance",
     "Unsupported", "Verdict", "WrongScale", "X", "decide_algebra",
     "decide_multiplication", "decide_multiplier", "decide_nemytskij",
     "embeds", "interpolate_complex",
     "interpolate_real", "interpolation_closure", "isotropic", "lp_valued",
-    "minimize_phi", "normalize", "parabolic", "rat", "realize_exponents",
-    "recognize_intersection", "reduced_multiplication", "register_signature",
-    "slice_embed", "sobolev_index", "solve_param",
+    "minimize_phi", "normalize", "parabolic", "realize_exponents",
+    "reduced_multiplication", "sobolev_index", "solve_param",
 ]

@@ -24,9 +24,6 @@ RULEBOOK: dict[str, str] = {
                     "scale (micro-scale = integrability) when s > 0 and no "
                     "slice ratio s/w_k is an integer",
     "space.zero-order": "zero smoothness collapses to the Lebesgue scale",
-    "space.intersection": "a family of slice spaces with common integrability "
-                          "and proportional exponents assembles to one "
-                          "anisotropic space",
 
     # embeddings
     "embed.identity": "every space embeds into itself",
@@ -50,9 +47,6 @@ RULEBOOK: dict[str, str] = {
     "embed.c0": "positive index embeds into vanishing continuous functions",
     "embed.detour": "one deterministic intermediate space (midpoint "
                     "smoothness, target index) may bridge a side-condition gap",
-    "embed.slice": "an anisotropic Besov space embeds into the isotropic "
-                   "Besov space of each slice with exponent s/w_k and "
-                   "Lebesgue-valued fibers",
 
     # interpolation identities
     "interp.complex.b": "complex interpolation of Besov spaces: all three "

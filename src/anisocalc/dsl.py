@@ -122,7 +122,7 @@ class _Cursor:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
@@ -139,7 +139,7 @@ class _Cursor:
         save = self.pos
         if self.take("/"):
             self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
+            if self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 return Fraction(num, self.take_denominator())
             self.pos = save
         return Fraction(num)

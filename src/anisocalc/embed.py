@@ -14,11 +14,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (BadSlice, IncompatibleSpaces, NoInterpolationRule,
-                     Unsupported)
+from .errors import IncompatibleSpaces, NoInterpolationRule
 from .ratcore import AffineExpr, ParamEnv, Rational
-from .spaces import (SCALARS, Scale, SpaceDescr, isotropic, lp_valued,
-                     normalize, require_concrete, sobolev_index)
+from .spaces import (Scale, SpaceDescr, normalize, require_concrete,
+                     sobolev_index)
 
 
 class Verdict(str, Enum):
@@ -338,33 +337,6 @@ def embeds_in(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> Decision:
             log.extend(leg2)
             return log.decision()
     return direct.decision()
-
-
-def slice_embed(src: SpaceDescr, k: int) -> SpaceDescr:
-    """The isotropic slice space of an anisotropic Besov space.
-
-    Slice k receives exponent s / w_k over its own slice; the remaining
-    factors are absorbed into a Lebesgue-valued fiber tag.
-    """
-    from .spaces import _slice_label
-
-    if src.scale is not Scale.B:
-        raise Unsupported("slice embedding is a Besov-scale rule")
-    if src.s.is_constant and src.s.constant <= 0:
-        raise Unsupported("slice embedding requires positive smoothness")
-    if not 1 <= k <= src.aniso.nu:
-        raise BadSlice(f"slice index {k} out of 1..{src.aniso.nu}")
-    if src.aniso.nu == 1:
-        return src
-    nu = src.aniso.nu
-    labels = [_slice_label(src.domain_label, nu, j) for j in range(1, nu + 1)]
-    inner = "x".join(lbl for j, lbl in enumerate(labels, start=1) if j != k)
-    if src.target != SCALARS:
-        inner = f"{inner}; {src.target.name}"
-    wk = src.aniso.weights[k - 1]
-    nk = src.aniso.dims[k - 1]
-    return SpaceDescr(Scale.B, src.s / wk, src.x, src.y, isotropic(nk),
-                      lp_valued(inner), labels[k - 1])
 
 
 # ---------------------------------------------------------------------------

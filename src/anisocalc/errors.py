@@ -23,26 +23,17 @@ class NotIdentifiable(EngineError):
 
 class HypothesisViolation(EngineError):
     """A Banach-space hypothesis is missing: UMD flag, property-(alpha) flag
-    for genuinely anisotropic weights, algebra/unit flags, or an
-    unregistered pointwise multiplication signature."""
+    for genuinely anisotropic weights, algebra/unit flags, or a pointwise
+    multiplication of value spaces outside the admissible shapes."""
 
 
 class IncompatibleSpaces(EngineError):
     """Operands do not share anisotropy, domain label or value space."""
 
 
-class NotAnIntersectionForm(EngineError):
-    """A family of slice spaces is not of intersection shape (inconsistent
-    integrability, scales, or exponent ratios)."""
-
-
 class NoInterpolationRule(EngineError):
     """The operand pair matches none of the implemented interpolation
     identities."""
-
-
-class BadSlice(EngineError):
-    """Slice index out of range."""
 
 
 class ClosureFromUncovered(EngineError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .embed import (ConditionLog, Decision, Status, TraceEntry, Verdict,
@@ -18,9 +19,9 @@ from .embed import (ConditionLog, Decision, Status, TraceEntry, Verdict,
 from .errors import (ClosureFromUncovered, HypothesisViolation,
                      IncompatibleSpaces)
 from .ratcore import AffineExpr, ParamEnv, Rational
-from .spaces import (MultSignature, Scale, SpaceDescr, check_target_flags,
-                     effective_scale, normalize, require_concrete,
-                     signature_registered, sobolev_index)
+from .spaces import (SCALARS, Scale, SpaceDescr, TargetSpace,
+                     check_target_flags, effective_scale, normalize,
+                     require_concrete, sobolev_index)
 
 
 @dataclass(frozen=True)
@@ -29,18 +30,10 @@ class MultInstance:
 
     factors: tuple[SpaceDescr, ...]
     target: SpaceDescr
-    signature: MultSignature
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("a multiplication needs at least one factor")
-        if len(self.signature.factor_targets) != len(self.factors):
-            raise ValueError("signature arity does not match the factors")
-        for sp, tg in zip(self.factors, self.signature.factor_targets):
-            if sp.target != tg:
-                raise ValueError("signature factor targets out of order")
-        if self.target.target != self.signature.result_target:
-            raise ValueError("signature result target does not match")
         for sp in self.factors:
             if sp.aniso != self.target.aniso:
                 raise IncompatibleSpaces("factors must share the anisotropy")
@@ -49,8 +42,7 @@ class MultInstance:
 
     @staticmethod
     def of(factors: Sequence[SpaceDescr], target: SpaceDescr) -> "MultInstance":
-        sig = MultSignature(tuple(f.target for f in factors), target.target)
-        return MultInstance(tuple(factors), target, sig)
+        return MultInstance(tuple(factors), target)
 
     @property
     def m(self) -> int:
@@ -58,6 +50,25 @@ class MultInstance:
 
     def __str__(self) -> str:
         return " * ".join(str(f) for f in self.factors) + f" -> {self.target}"
+
+
+@lru_cache(maxsize=4096)
+def _product_admissible(factor_targets: tuple[TargetSpace, ...],
+                        result_target: TargetSpace) -> bool:
+    """Admissibility of a pointwise multiplication between value spaces.
+
+    Three shapes are admissible: all-scalar products; scalar products
+    carrying one vector-valued factor into the same target; powers of one
+    Banach algebra.
+    """
+    nonscalar = [t for t in factor_targets if t != SCALARS]
+    if not nonscalar:
+        return result_target == SCALARS
+    if len(nonscalar) == 1:
+        return result_target == nonscalar[0]
+    if all(t == result_target for t in factor_targets):
+        return result_target.banach_algebra
+    return False
 
 
 def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
@@ -69,11 +80,13 @@ def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
     else:
         log.skip("property (alpha) for anisotropic weights", "hyp.alpha",
                  "isotropic weights")
-    if not signature_registered(inst.signature):
+    factor_targets = tuple(f.target for f in inst.factors)
+    result_target = inst.target.target
+    if not _product_admissible(factor_targets, result_target):
         raise HypothesisViolation(
             "unregistered multiplication signature "
-            f"({', '.join(t.name for t in inst.signature.factor_targets)}) -> "
-            f"{inst.signature.result_target.name}")
+            f"({', '.join(t.name for t in factor_targets)}) -> "
+            f"{result_target.name}")
     log.passed("registered multiplication signature", "hyp.signature")
 
 
@@ -358,7 +371,7 @@ def reduced_multiplication_in(inst: MultInstance, omit: Sequence[int] | set[int]
               all(env.ge(f.x, inst.target.x) for f in inst.factors))
     kept = tuple(f for j, f in enumerate(inst.factors, start=1)
                  if j not in omitted)
-    reduced = MultInstance(kept, inst.target, inst.signature.reduced(omitted))
+    reduced = MultInstance(kept, inst.target)
     inner = decide_multiplication_in(reduced, env)
     log.entries.extend(inner.trace)
     return log.decision()

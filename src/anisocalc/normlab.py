@@ -24,6 +24,8 @@ from .spaces import Scale, SpaceDescr
 
 _NODES_PER_DECADE = 16
 _MIN_DECADES = 2
+#: Largest tensor grid a Gaussian is sampled on (134 MB per float64 array).
+_MAX_GRID_POINTS = 1 << 24
 
 
 @dataclass
@@ -92,9 +94,16 @@ class GaussianSpec:
     def sample(self, slice_dims: tuple[int, ...], spacings: tuple[float, ...],
                decay_radius: float) -> GridFunction:
         self._require_axes(sum(slice_dims))
+        steps = [decay_radius / dx for dx in spacings]
+        if not all(map(math.isfinite, steps)):
+            raise Unsupported("grid radius over spacing overflows a float")
+        counts = [2 * int(round(t)) + 1 for t in steps]
+        points = math.prod(n ** nk for n, nk in zip(counts, slice_dims))
+        if points > _MAX_GRID_POINTS:
+            raise Unsupported(f"a grid of {points} points exceeds the limit "
+                              f"of {_MAX_GRID_POINTS}")
         axes = []
-        for nk, dx in zip(slice_dims, spacings):
-            n = 2 * int(round(decay_radius / dx)) + 1
+        for nk, dx, n in zip(slice_dims, spacings, counts):
             coord = (np.arange(n) - (n - 1) / 2) * dx
             axes.extend([coord] * nk)
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -195,16 +204,19 @@ def _derivatives(u: GridFunction, k: int, order: int) -> list[np.ndarray]:
     return outs
 
 
-def _space_params(u: GridFunction, space: SpaceDescr) -> tuple[Fraction, Fraction]:
+def _space_params(space: SpaceDescr) -> tuple[Fraction, Fraction]:
     if not space.is_concrete:
         raise Unsupported("numerical seminorms need concrete parameters")
     s = space.s.constant
     x = space.x.constant
     if x <= 0:
         raise WrongScale("numerical seminorms need a finite integrability")
+    return s, 1 / x
+
+
+def _require_grid(u: GridFunction, space: SpaceDescr) -> None:
     if tuple(space.aniso.dims) != u.slice_dims:
         raise ValueError("grid slices do not match the descriptor")
-    return s, 1 / x
 
 
 def _quadrature(u: GridFunction, plans: list[tuple[int, int, int, float]],
@@ -254,16 +266,12 @@ def _quadrature(u: GridFunction, plans: list[tuple[int, int, int, float]],
     return SeminormResult(value, err, meta)
 
 
-def seminorm_slobodeckij(u: GridFunction, space: SpaceDescr) -> SeminormResult:
-    """Difference-quotient seminorm of the Sobolev-Slobodeckij scale.
-
-    Slice k contributes the fractional part s/w_k - [s/w_k] through first
-    differences of the order-[s/w_k] derivatives, at q = p; integer slice
-    ratios are outside this formula.
-    """
+def _slobodeckij_plans(space: SpaceDescr) -> tuple[list, Fraction, Fraction]:
+    """Plans and exponents (p, q) of the Sobolev-Slobodeckij seminorm;
+    they depend on the descriptor alone."""
     if space.scale is not Scale.W:
         raise WrongScale(f"expected the Sobolev-Slobodeckij scale, got {space.scale}")
-    s, p = _space_params(u, space)
+    s, p = _space_params(space)
     plans = []
     for k, wk in enumerate(space.aniso.weights, start=1):
         ratio = s / wk
@@ -271,15 +279,27 @@ def seminorm_slobodeckij(u: GridFunction, space: SpaceDescr) -> SeminormResult:
             raise WrongScale(f"slice ratio s/w_{k} = {ratio} is an integer")
         mord = int(ratio)  # floor for positive ratios
         plans.append((mord, mord, 1, float(ratio) - mord))
-    return _quadrature(u, plans, p, p)
+    return plans, p, p
 
 
-def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
-    """Iterated-difference seminorm of the Besov scale with micro-scale q:
-    differences of order [s/w_k] + 1 on slice k."""
+def seminorm_slobodeckij(u: GridFunction, space: SpaceDescr) -> SeminormResult:
+    """Difference-quotient seminorm of the Sobolev-Slobodeckij scale.
+
+    Slice k contributes the fractional part s/w_k - [s/w_k] through first
+    differences of the order-[s/w_k] derivatives, at q = p; integer slice
+    ratios are outside this formula.
+    """
+    plans, p, q = _slobodeckij_plans(space)
+    _require_grid(u, space)
+    return _quadrature(u, plans, p, q)
+
+
+def _besov_plans(space: SpaceDescr) -> tuple[list, Fraction, Fraction]:
+    """Plans and exponents (p, q) of the Besov seminorm; they depend on
+    the descriptor alone."""
     if space.scale is not Scale.B:
         raise WrongScale(f"expected the Besov scale, got {space.scale}")
-    s, p = _space_params(u, space)
+    s, p = _space_params(space)
     if s <= 0:
         raise WrongScale("the iterated-difference formula needs s > 0")
     y = space.micro().constant_value()
@@ -287,24 +307,37 @@ def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
         raise WrongScale("numerical seminorms need a finite micro-scale")
     plans = [(int(s / wk) + 1, 0, int(s / wk) + 1, float(s / wk))
              for wk in space.aniso.weights]
-    return _quadrature(u, plans, p, 1 / y)
+    return plans, p, 1 / y
+
+
+def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
+    """Iterated-difference seminorm of the Besov scale with micro-scale q:
+    differences of order [s/w_k] + 1 on slice k."""
+    plans, p, q = _besov_plans(space)
+    _require_grid(u, space)
+    return _quadrature(u, plans, p, q)
 
 
 def _seminorm_for(space: SpaceDescr
                   ) -> Callable[[GridFunction, SpaceDescr], SeminormResult]:
-    """The seminorm of the space's scale, W or B.  The function is read
-    from the module globals at each call, so a wrapper installed on either
-    name (as perfbench's tracer does) sees every evaluation."""
+    """The seminorm of the space's scale, W or B, once the space has
+    passed the refusals of its plans, so a caller refuses before it
+    samples.  The function is read from the module globals at each call,
+    so a wrapper installed on either name (as perfbench's tracer does)
+    sees every evaluation."""
     if space.scale is Scale.W:
+        _slobodeckij_plans(space)
         return seminorm_slobodeckij
     if space.scale is Scale.B:
+        _besov_plans(space)
         return seminorm_besov
     raise WrongScale(f"no difference-quotient seminorm on the {space.scale} scale")
 
 
 def full_norm(u: GridFunction, space: SpaceDescr) -> float:
     """Lebesgue part plus seminorm, the norm used by the product probes."""
-    _, p = _space_params(u, space)
+    _, p = _space_params(space)
+    _require_grid(u, space)
     pf = float(p)
     lp = float((np.sum(np.abs(u.samples) ** pf) * u.cell_volume()) ** (1 / pf))
     if space.scale is Scale.L or (space.s.is_constant and space.s.constant == 0):

@@ -24,14 +24,6 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
-def rat(value: RationalLike, den: int | None = None) -> Fraction:
-    """Build an exact rational from an int, a string like ``"5/2"``, or a
-    numerator/denominator pair."""
-    if den is not None:
-        return Fraction(value, den)  # type: ignore[arg-type]
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class AffineExpr:
     """An affine form ``constant + slope * x`` with x = 1/p.

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import (HypothesisViolation, NotAnIntersectionForm,
-                     NotIdentifiable, Unsupported)
+from .errors import HypothesisViolation, NotIdentifiable, Unsupported
 from .ratcore import (AffineExpr, AffineLike, ParamEnv, Rational,
                       render_affine_p, render_fraction)
 
@@ -115,57 +113,6 @@ def lp_valued(label: str) -> TargetSpace:
     """Tag for Lebesgue-valued fibers over an opaque inner domain."""
     return TargetSpace(f"Lp({label})", umd=True, prop_alpha=True,
                        banach_algebra=False, unital=False)
-
-
-@dataclass(frozen=True)
-class MultSignature:
-    """A registered pointwise multiplication between value spaces."""
-
-    factor_targets: tuple[TargetSpace, ...]
-    result_target: TargetSpace
-
-    def __post_init__(self):
-        if not self.factor_targets:
-            raise ValueError("a multiplication needs at least one factor")
-        object.__setattr__(self, "_hash", hash(
-            (self.factor_targets, self.result_target)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def reduced(self, omit: frozenset[int]) -> "MultSignature":
-        kept = tuple(t for j, t in enumerate(self.factor_targets, start=1)
-                     if j not in omit)
-        return MultSignature(kept, self.result_target)
-
-
-_EXTRA_SIGNATURES: set[MultSignature] = set()
-
-
-def register_signature(sig: MultSignature) -> None:
-    _EXTRA_SIGNATURES.add(sig)
-    signature_registered.cache_clear()
-
-
-@lru_cache(maxsize=4096)
-def signature_registered(sig: MultSignature) -> bool:
-    """Admissibility of a pointwise multiplication.
-
-    Built-in shapes: all-scalar products; scalar products carrying one
-    vector-valued factor into the same target; powers of one Banach
-    algebra.  Anything else must be registered explicitly.
-    """
-    if sig in _EXTRA_SIGNATURES:
-        return True
-    scal = [t == SCALARS for t in sig.factor_targets]
-    if all(scal):
-        return sig.result_target == SCALARS
-    nonscalar = [t for t in sig.factor_targets if t != SCALARS]
-    if len(nonscalar) == 1:
-        return sig.result_target == nonscalar[0]
-    if all(t == sig.result_target for t in sig.factor_targets):
-        return sig.result_target.banach_algebra
-    return False
 
 
 @dataclass(frozen=True)
@@ -370,95 +317,3 @@ def effective_scale(space: SpaceDescr) -> Scale:
     """Scale class used by the theorem constraints: the Lebesgue scale is
     the zero-smoothness Bessel-potential space."""
     return Scale.H if space.scale is Scale.L else space.scale
-
-
-def recognize_intersection(
-        slices: Sequence[tuple[int, SpaceDescr]]) -> SpaceDescr:
-    """Assemble an anisotropic descriptor from its slice spaces.
-
-    Each entry is ``(k, space)`` where ``space`` is the isotropic
-    descriptor over the k-th slice, understood with Lebesgue-valued fibers
-    over the remaining slices.  All slices must share scale, integrability
-    and value space, and the smoothness exponents must be a common s
-    divided by integer weights.
-    """
-    if not slices:
-        raise NotAnIntersectionForm("empty slice family")
-    ordered = sorted(slices, key=lambda kv: kv[0])
-    ks = [k for k, _ in ordered]
-    if ks != list(range(1, len(ks) + 1)):
-        raise NotAnIntersectionForm(f"slice indices {ks} are not 1..nu")
-    parts = [d for _, d in ordered]
-    if len(parts) == 1:
-        return parts[0]
-    for d in parts:
-        if d.aniso.nu != 1 or d.aniso.weights != (1,):
-            raise NotAnIntersectionForm(
-                "slice spaces must be isotropic over a single slice")
-    first = parts[0]
-    if any(d.scale is not first.scale for d in parts):
-        raise NotAnIntersectionForm("slice scales differ")
-    if first.scale not in (Scale.B, Scale.H, Scale.W):
-        raise NotAnIntersectionForm(f"scale {first.scale} has no intersection form")
-    if any(d.x != first.x for d in parts):
-        raise NotAnIntersectionForm("slice integrability exponents differ")
-    if any(d.target != first.target for d in parts):
-        raise NotAnIntersectionForm("slice value spaces differ")
-    for d in parts:
-        if d.scale is Scale.B and d.y is not None and \
-                not (d.x.is_constant and d.x.constant == d.y):
-            raise NotAnIntersectionForm(
-                "Besov slices must have micro-scale equal to integrability")
-
-    # weights from the exponent ratios t_1 / t_k, which must be constant
-    t = [d.s for d in parts]
-    t1 = t[0]
-    ratios: list[Fraction] = [Fraction(1)]
-    for tk in t[1:]:
-        if t1.constant * tk.slope != t1.slope * tk.constant:
-            raise NotAnIntersectionForm(
-                "exponent ratio between slices is not constant")
-        denom = tk.constant if tk.constant != 0 else tk.slope
-        numer = t1.constant if tk.constant != 0 else t1.slope
-        if denom == 0:
-            raise NotAnIntersectionForm("vanishing slice exponent")
-        r = numer / denom
-        if r <= 0:
-            raise NotAnIntersectionForm("slice exponents must have equal sign")
-        ratios.append(r)
-    scale_lcm = math.lcm(*(r.denominator for r in ratios))
-    weights = [r * scale_lcm for r in ratios]
-    ints = [int(w) for w in weights]
-    g = math.gcd(*ints)
-    ints = [w // g for w in ints]
-    s = t[0] * ints[0]
-    for tk, wk in zip(t, ints):
-        if tk * wk != s:
-            raise NotAnIntersectionForm("slice exponents are not proportional")
-    aniso = Anisotropy(tuple(d.aniso.dims[0] for d in parts), tuple(ints))
-    label = "x".join(d.domain_label for d in parts)
-    return SpaceDescr(first.scale, s, first.x, None, aniso, first.target, label)
-
-
-def expand_intersection(space: SpaceDescr) -> list[tuple[int, SpaceDescr]]:
-    """Slice spaces of an anisotropic descriptor (inverse of
-    :func:`recognize_intersection` on the exponent data)."""
-    if space.scale not in (Scale.B, Scale.H, Scale.W):
-        raise NotAnIntersectionForm(f"scale {space.scale} has no slice expansion")
-    if space.scale is Scale.B and space.y is not None:
-        raise NotAnIntersectionForm(
-            "only micro-scale = integrability expands into slices")
-    out = []
-    for k, (nk, wk) in enumerate(zip(space.aniso.dims, space.aniso.weights),
-                                 start=1):
-        out.append((k, SpaceDescr(space.scale, space.s / wk, space.x, None,
-                                  isotropic(nk), space.target,
-                                  _slice_label(space.domain_label, space.aniso.nu, k))))
-    return out
-
-
-def _slice_label(label: str, nu: int, k: int) -> str:
-    parts = label.split("x")
-    if len(parts) == nu:
-        return parts[k - 1]
-    return f"{label}#{k}"

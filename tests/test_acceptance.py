@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, MinimizationInput,
-                       MultInstance, MultSignature, ParamSet, RealizationInput,
+                       MultInstance, ParamSet, RealizationInput,
                        SpaceDescr, X, embeds, isotropic, minimize_phi,
                        realize_exponents, solve_param)
 from anisocalc.appsuite import run_nvs, run_stefan
@@ -40,7 +40,6 @@ def test_criterion_01_hoelder_characterization():
     a = isotropic(2)
     xs = sorted({F(n, d) for d in range(2, 13) for n in range(1, d)})
     spaces = {x: SpaceDescr.lebesgue(x, a) for x in xs}
-    sig = MultSignature((SCALARS, SCALARS), SCALARS)
     t0 = time.perf_counter()
     ok = True
     for x1 in xs:
@@ -48,7 +47,7 @@ def test_criterion_01_hoelder_characterization():
             factors = (spaces[x1], spaces[x2])
             for xt in xs:
                 got = decide_multiplication(
-                    MultInstance(factors, spaces[xt], sig)).covered
+                    MultInstance(factors, spaces[xt])).covered
                 if got != (x1 + x2 == xt):
                     ok = False
     elapsed = time.perf_counter() - t0

@@ -77,6 +77,16 @@ def test_parse_errors_carry_positions():
         parse_query("W^{1,(2,1)}_p(JxSigma) ->")
 
 
+@pytest.mark.parametrize("text", ["H^{²,(1)}_2(R^2)", "H^{1,(1)}_2(R^²)",
+                                  "H^{1,(1)}_²(R^2)"])
+def test_parse_refuses_digits_int_cannot_read(text):
+    # '²' is a str.isdigit character that int() rejects: it used to leak
+    # a ValueError with no position
+    with pytest.raises(ParseError, match=r"^expected an integer \(line 1, "
+                       rf"column {text.index('²') + 1}\)$"):
+        parse_space(text)
+
+
 def test_custom_prelude():
     prelude = parse_prelude("Omega = 3\nGamma = 1x2\n")
     sp = parse_space("H^{2,(1,1,1)}_2(JxGamma)", prelude)
@@ -186,6 +196,7 @@ _W = "W^{1/2,(1)}_2(R^1)"
     pytest.param(["index", "H^{1/0,(1)}_2(R^2)"], 2, id="zero-denominator"),
     pytest.param(["index", "H^{1,(1)}_2(R^{0})"], 2, id="zero-dim"),
     pytest.param(["index", "H^{1,(0)}_2(R^2)"], 2, id="zero-weight"),
+    pytest.param(["index", "H^{²,(1)}_2(R^2)"], 2, id="superscript-digit"),
     pytest.param(["interp", "[L^{(1)}_2(R^2), L^{(1)}_6(R^2)]_{3/2}"], 2,
                  id="complex-theta"),
     pytest.param(["interp", "(L^{(1)}_2(R^2), L^{(1)}_6(R^2))_{3/2}"], 2,
@@ -220,6 +231,8 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="loo-operand"),
     pytest.param(["seminorm", "--space", "W^{1/2,(1)}_2(R^{4})"], 3,
                  id="seminorm-slice-dim"),
+    pytest.param(["seminorm", "--space", "W^{1/2,(1,1,1,1)}_2(R^{1x1x1x1})"],
+                 3, id="seminorm-grid-size"),
 ])
 def test_cli_exit_codes(args, code):
     # a refusal is one line on stderr, never a traceback (exit 1)

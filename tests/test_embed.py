@@ -1,4 +1,4 @@
-"""Embedding rules, slice embedding and interpolation identities."""
+"""Embedding rules and interpolation identities."""
 
 from fractions import Fraction as F
 
@@ -6,10 +6,9 @@ import pytest
 
 from anisocalc import (COUPLED, AffineExpr, Anisotropy, Scale, SpaceDescr,
                        Status, Verdict, X, embeds, interpolate_complex,
-                       interpolate_real, isotropic, parabolic, slice_embed,
-                       sobolev_index)
-from anisocalc.errors import (BadSlice, IncompatibleSpaces,
-                              NoInterpolationRule, NotIdentifiable)
+                       interpolate_real, isotropic, parabolic, sobolev_index)
+from anisocalc.errors import (IncompatibleSpaces, NoInterpolationRule,
+                              NotIdentifiable)
 
 from conftest import rand_aniso, rand_fraction, rand_space, rand_x
 
@@ -96,20 +95,6 @@ def test_c0_detour_for_off_micro_besov():
     d = embeds(sp, _c0_like(sp))
     assert d.verdict is Verdict.COVERED
     assert any(e.anchor == "embed.detour" for e in d.trace)
-
-
-def test_slice_embedding():
-    a = Anisotropy((1, 3), (2, 1))
-    src = SpaceDescr.besov(2, X, a, F(1, 3), domain_label="JxRdotn")
-    s1 = slice_embed(src, 1)
-    assert s1.s == AffineExpr(F(1)) and s1.aniso == isotropic(1)
-    assert s1.target.name.startswith("Lp(")
-    s2 = slice_embed(src, 2)
-    assert s2.s == AffineExpr(F(2)) and s2.aniso == isotropic(3)
-    iso_src = SpaceDescr.besov(2, X, isotropic(3), F(1, 3))
-    assert slice_embed(iso_src, 1) == iso_src
-    with pytest.raises(BadSlice):
-        slice_embed(src, 3)
 
 
 def test_complex_interpolation_examples():

@@ -17,11 +17,14 @@ import anisocalc
 from anisocalc import (SCALARS, MultInstance, SpaceDescr, isotropic,
                        parabolic)
 from anisocalc.cli import main
-from anisocalc.errors import (ResolutionError, UncoveredInstance, WrongScale)
+from anisocalc.dsl import parse_space
+from anisocalc.errors import (ResolutionError, UncoveredInstance, Unsupported,
+                              WrongScale)
 from anisocalc.normlab import (GaussianSpec, GridFunction,
                                _difference_power_sum, check_product_estimate,
-                               dilation_scaling_exponent, full_norm,
-                               seminorm_besov, seminorm_slobodeckij)
+                               dilated_seminorms, dilation_scaling_exponent,
+                               full_norm, seminorm_besov,
+                               seminorm_slobodeckij)
 
 ISO1 = isotropic(1)
 W12 = SpaceDescr.sobolev(F(1, 2), F(1, 2), ISO1, SCALARS, "R^1")
@@ -179,6 +182,34 @@ def test_gaussian_refuses_a_wrong_axis_count(spec):
     # the dilation used to drop the values past the last axis silently
     with pytest.raises(ValueError, match="per axis"):
         dilation_scaling_exponent(W12, spec, [1.0], (0.02,), 12.0)
+
+
+def test_grid_size_bound_names_the_count():
+    # four axes of 501 points used to ask numpy for 469 GiB
+    with pytest.raises(Unsupported, match="63001502001 points"):
+        GaussianSpec((1.0,) * 4).sample((1, 1, 1, 1), (0.04,) * 4, 10.0)
+    # a radius of 1e308 used to raise OverflowError from round(inf)
+    with pytest.raises(Unsupported, match="overflows"):
+        GaussianSpec((1.0,)).sample((1,), (0.04,), 1e308)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("W^{1,(1)}_2(R^3)", WrongScale),        # integer ratio s/w_1
+    ("B^{0,(1)}_2(R^1)", WrongScale),        # s <= 0 on B
+    ("B^{1/2,(1)}_oo(R^1)", WrongScale),     # infinite p
+    ("B^{1/2,(1)}_2_oo(R^1)", WrongScale),   # infinite q
+    ("W^{1/2,(1)}_p(R^1)", Unsupported),     # symbolic parameters
+])
+def test_dilated_seminorms_refuse_before_sampling(monkeypatch, text, error):
+    # W^{1,(1)}_2(R^3) used to fill a 959 MiB grid before its refusal
+    def no_sampling(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(GaussianSpec, "sample", no_sampling)
+    space = parse_space(text)
+    spec = GaussianSpec((1.0,) * sum(space.aniso.dims))
+    with pytest.raises(error):
+        dilated_seminorms(space, spec, [1.0], (0.04,), 10.0)
 
 
 def test_quadrature_convergence_under_halving():

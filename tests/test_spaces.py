@@ -1,4 +1,4 @@
-"""Descriptor bookkeeping: indices, identifications, intersections."""
+"""Descriptor bookkeeping: indices, identifications, value-space flags."""
 
 from fractions import Fraction as F
 
@@ -6,10 +6,8 @@ import pytest
 
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, Scale, SpaceDescr,
                        TargetSpace, X, isotropic, lp_valued, normalize,
-                       parabolic, recognize_intersection, sobolev_index)
-from anisocalc.errors import (HypothesisViolation, NotAnIntersectionForm,
-                              NotIdentifiable, Unsupported)
-from anisocalc.spaces import expand_intersection
+                       parabolic, sobolev_index)
+from anisocalc.errors import HypothesisViolation, NotIdentifiable, Unsupported
 
 from conftest import rand_aniso, rand_fraction, rand_space, rand_x
 
@@ -95,79 +93,6 @@ def test_normalize_checks_flags():
 def test_normalize_canonicalizes_micro_scale():
     sp = SpaceDescr.besov(1, F(1, 3), isotropic(2), F(1, 3))
     assert normalize(sp).y is None
-
-
-def test_intersection_bessel_parabolic():
-    # time-regular and space-regular members assemble to the second-order
-    # parabolic space
-    n = 3
-    slices = [
-        (1, SpaceDescr.bessel(1, X, isotropic(1), SCALARS, "J")),
-        (2, SpaceDescr.bessel(2, X, isotropic(n), SCALARS, "Rdotn")),
-    ]
-    out = recognize_intersection(slices)
-    assert out.scale is Scale.H
-    assert out.s == AffineExpr(F(2))
-    assert out.aniso == Anisotropy((1, n), (2, 1))
-    assert out.domain_label == "JxRdotn"
-
-
-def test_intersection_sobolev_trace_space():
-    # the flux trace space: exponents (1/2 - 1/2p, 1 - 1/p) at weights (2, 1)
-    slices = [
-        (1, SpaceDescr.sobolev(AffineExpr(F(1, 2), F(-1, 2)), X,
-                               isotropic(1), SCALARS, "J")),
-        (2, SpaceDescr.sobolev(AffineExpr(F(1), F(-1)), X,
-                               isotropic(2), SCALARS, "Sigma")),
-    ]
-    out = recognize_intersection(slices)
-    assert out.scale is Scale.W
-    assert out.s == AffineExpr(F(1), F(-1))
-    assert out.aniso == Anisotropy((1, 2), (2, 1))
-    assert out.domain_label == "JxSigma"
-
-
-def test_intersection_single_slice_identity():
-    sp = SpaceDescr.bessel(F(3, 2), F(1, 2), isotropic(3))
-    assert recognize_intersection([(1, sp)]) == sp
-
-
-def test_intersection_rejects_mismatched_ratios():
-    slices = [
-        (1, SpaceDescr.bessel(AffineExpr(F(1), F(-1)), X, isotropic(1))),
-        (2, SpaceDescr.bessel(AffineExpr(F(2), F(-1)), X, isotropic(2))),
-    ]
-    with pytest.raises(NotAnIntersectionForm):
-        recognize_intersection(slices)
-
-
-def test_intersection_rejects_mixed_integrability():
-    slices = [
-        (1, SpaceDescr.bessel(1, F(1, 2), isotropic(1))),
-        (2, SpaceDescr.bessel(2, F(1, 3), isotropic(2))),
-    ]
-    with pytest.raises(NotAnIntersectionForm):
-        recognize_intersection(slices)
-
-
-def test_intersection_expansion_round_trip(rng):
-    # assembling slice spaces and re-expanding is the identity on the
-    # exponent data (weights are canonical only up to their common divisor)
-    for _ in range(200):
-        aniso = rand_aniso(rng)
-        scale = rng.choice((Scale.B, Scale.H, Scale.W))
-        s = F(rng.randint(1, 4 * aniso.omega_dot), 1)
-        label = "x".join(f"D{k}" for k in range(aniso.nu))
-        sp = SpaceDescr(scale, AffineExpr(s), AffineExpr(rand_x(rng)),
-                        None, aniso, SCALARS, label)
-        slices = expand_intersection(sp)
-        assert [d.s for _, d in slices] == [sp.s / w for w in aniso.weights]
-        back = recognize_intersection(slices)
-        back_slices = expand_intersection(back)
-        assert [d.s for _, d in back_slices] == [d.s for _, d in slices]
-        assert [d.aniso.dims for _, d in back_slices] == \
-            [d.aniso.dims for _, d in slices]
-        assert back.x == sp.x
 
 
 def test_index_invariant_under_normalization(rng):
