@@ -11,7 +11,9 @@ RULEBOOK: dict[str, str] = {
     "hyp.umd": "every value space must carry the UMD flag",
     "hyp.alpha": "property-(alpha) flag required when the weight vector is "
                  "genuinely anisotropic",
-    "hyp.signature": "the pointwise multiplication signature must be registered",
+    "hyp.signature": "the pointwise product of the value spaces must be "
+                     "admissible (all scalar, scalars carrying one "
+                     "vector-valued factor, or powers of one Banach algebra)",
     "hyp.algebra": "the value space must be a Banach algebra",
     "hyp.unital": "the value space must be a unital Banach algebra",
 

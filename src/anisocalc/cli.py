@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -42,9 +43,18 @@ def _rationals(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(v) for v in text.split(","))
 
 
+def _floats(option: str, text: str) -> tuple[float, ...]:
+    """Rational option values, each of which must fit a finite float."""
+    try:
+        return tuple(float(v) for v in _rationals(text))
+    except OverflowError:
+        raise ValueError(f"--{option} values must fit a float, got {text!r}") \
+            from None
+
+
 def _per(option: str, text: str, unit: str, n: int) -> tuple[float, ...]:
     """One value for all n axes or slices, or one value each."""
-    vals = tuple(float(v) for v in _rationals(text))
+    vals = _floats(option, text)
     if len(vals) not in (1, n):
         raise ValueError(f"--{option} takes one value or one per {unit} "
                          f"({n}), got {len(vals)}")
@@ -231,11 +241,10 @@ def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
     radius = radius if radius is not None else 10.0 * max(sigmas)
     spacings = tuple(min(sigmas) / 25 for _ in dims) if spacing is None \
         else _per("spacing", spacing, "slice", len(dims))
-    if min(sigmas) <= 0 or min(spacings) <= 0 or radius <= 0:
+    if min(sigmas) <= 0 or min(spacings) <= 0 or not 0 < radius < math.inf:
         raise ValueError("Gaussian widths, grid spacings and the grid radius "
-                         "must be positive")
-    lams = [1.0] if dilations is None else \
-        [float(v) for v in _rationals(dilations)]
+                         "must be positive and finite")
+    lams = (1.0,) if dilations is None else _floats("dilations", dilations)
     if min(lams) <= 0:
         raise ValueError("dilation parameters must be positive")
     rows = normlab.dilated_seminorms(space, spec, lams, spacings, radius)

@@ -18,7 +18,7 @@ from .embed import (ConditionLog, Decision, Status, TraceEntry, Verdict,
                     interpolate_complex)
 from .errors import (ClosureFromUncovered, HypothesisViolation,
                      IncompatibleSpaces)
-from .ratcore import AffineExpr, ParamEnv, Rational
+from .ratcore import AffineExpr, ParamEnv, Rational, lowered, lowered_sum
 from .spaces import (SCALARS, Scale, SpaceDescr, TargetSpace,
                      check_target_flags, effective_scale, normalize,
                      require_concrete, sobolev_index)
@@ -84,10 +84,10 @@ def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
     result_target = inst.target.target
     if not _product_admissible(factor_targets, result_target):
         raise HypothesisViolation(
-            "unregistered multiplication signature "
+            "inadmissible value-space product "
             f"({', '.join(t.name for t in factor_targets)}) -> "
             f"{result_target.name}")
-    log.passed("registered multiplication signature", "hyp.signature")
+    log.passed("admissible value-space product", "hyp.signature")
 
 
 def _one_parameter_besov(spaces, env: ParamEnv, log: ConditionLog) -> bool:
@@ -104,29 +104,16 @@ def _subset_index_signs(ind: AffineExpr, inds: Sequence[AffineExpr],
                         env: ParamEnv) -> list[int]:
     """Signs of (sum over M of ind_j) - ind for every nonempty subset M.
 
-    Subset sums are built incrementally over bitmasks (sum over M equals
-    the sum over M minus its lowest element, plus that element).
+    Subset sums are built incrementally over bitmasks as lowered integer
+    triples (sum over M equals the sum over M minus its lowest element,
+    plus that element).
     """
-    m = len(inds)
-    if env.recorder is None:
-        vt = env.value(ind)
-        vals = [env.value(e) for e in inds]
-    else:
-        vt = ind
-        vals = list(inds)
-    sums: list = [None] * (1 << m)
-    signs = []
-    for mask in range(1, 1 << m):
+    vals = [lowered(e) for e in inds]
+    sums = [(0, 0, 1)] * (1 << len(inds))
+    for mask in range(1, len(sums)):
         low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        total = vals[low] if rest == 0 else sums[rest] + vals[low]
-        sums[mask] = total
-        if env.recorder is None:
-            d = total - vt
-            signs.append((d > 0) - (d < 0))
-        else:
-            signs.append(env.cmp(total, vt))
-    return signs
+        sums[mask] = lowered_sum((sums[mask & (mask - 1)], vals[low]))
+    return [env.cmp(total, ind) for total in sums[1:]]
 
 
 def decide_multiplication(inst: MultInstance) -> Decision:

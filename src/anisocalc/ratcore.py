@@ -167,22 +167,38 @@ class BreakpointRecorder:
     points: set[Fraction] = field(default_factory=set)
 
 
-def _lowered(e: AffineLike) -> tuple[int, int, int]:
+Lowered = tuple[int, int, int]
+
+
+def lowered(e: AffineLike | Lowered) -> Lowered:
     """Integers (A, B, D) with ``e = (A + B*x) / D`` and D > 0.
 
     A scalar lowers with B = 0; an affine form caches its triple, as it
-    caches its hash, so each form is lowered once.
+    caches its hash, so each form is lowered once.  A triple passes
+    through unchanged.
     """
-    if type(e) is not AffineExpr:
-        return e.numerator, 0, e.denominator
-    t = e.__dict__.get("_ints")
-    if t is None:
-        c, s = e.constant, e.slope
-        d = math.lcm(c.denominator, s.denominator)
-        t = (c.numerator * (d // c.denominator),
-             s.numerator * (d // s.denominator), d)
-        object.__setattr__(e, "_ints", t)
-    return t
+    t = type(e)
+    if t is AffineExpr:
+        ints = e.__dict__.get("_ints")
+        if ints is None:
+            c, s = e.constant, e.slope
+            d = math.lcm(c.denominator, s.denominator)
+            ints = (c.numerator * (d // c.denominator),
+                    s.numerator * (d // s.denominator), d)
+            object.__setattr__(e, "_ints", ints)
+        return ints
+    if t is tuple:
+        return e
+    return e.numerator, 0, e.denominator
+
+
+def lowered_sum(terms) -> Lowered:
+    """The lowered triple of a sum of forms, scalars or triples."""
+    a, b, d = 0, 0, 1
+    for t in terms:
+        ta, tb, td = lowered(t)
+        a, b, d = a * td + ta * d, b * td + tb * d, d * td
+    return a, b, d
 
 
 class ParamEnv:
@@ -191,36 +207,38 @@ class ParamEnv:
 
     All decision code routes its comparisons through this object, so a
     single implementation serves both concrete verdicts and the symbolic
-    parameter solver.  Without a recorder, comparisons evaluate both sides
-    at the witness; with one, they go through the integer kernel
-    :meth:`_recorded_sign`.
+    parameter solver: every comparison lowers both sides to integer
+    triples and takes the sign in :meth:`cmp`, which also records the
+    root of the difference when a recorder is present.  Nothing mutates
+    an environment, so :meth:`concrete` shares one.
     """
 
-    __slots__ = ("witness", "recorder", "_u", "_v")
+    __slots__ = ("recorder", "_u", "_v")
 
     def __init__(self, witness: RationalLike = Fraction(1, 2),
                  recorder: BreakpointRecorder | None = None):
-        self.witness = Fraction(witness)
+        witness = Fraction(witness)
         self.recorder = recorder
-        self._u, self._v = self.witness.numerator, self.witness.denominator
+        self._u, self._v = witness.numerator, witness.denominator
 
-    @classmethod
-    def concrete(cls) -> "ParamEnv":
-        return cls(Fraction(1, 2), None)
+    @staticmethod
+    def concrete() -> "ParamEnv":
+        return _CONCRETE
 
-    def _recorded_sign(self, lhs: tuple[int, int, int],
-                       rhs: tuple[int, int, int]) -> int:
-        """Sign of lhs - rhs at the witness, for lowered forms; the root of
-        the difference is recorded when it lies in (0, 1).
+    def cmp(self, lhs: AffineLike | Lowered, rhs: AffineLike | Lowered) -> int:
+        """Sign of lhs - rhs at the witness; either side may be a lowered
+        triple.  The root of the difference is recorded when it lies in
+        (0, 1).
 
         The difference is (a + b*x) / (D1*D2) with a positive denominator,
         so its root is -a/b and its sign at x = u/v is that of a*v + b*u.
         """
-        a1, b1, d1 = lhs
-        a2, b2, d2 = rhs
+        a1, b1, d1 = lowered(lhs)
+        a2, b2, d2 = lowered(rhs)
         a = a1 * d2 - a2 * d1
         b = b1 * d2 - b2 * d1
-        if (-b < a < 0) if b > 0 else (0 < a < -b):
+        if self.recorder is not None and \
+                ((-b < a < 0) if b > 0 else (0 < a < -b)):
             self.recorder.points.add(Fraction(-a, b))
         v = a * self._v + b * self._u
         return (v > 0) - (v < 0)
@@ -228,65 +246,26 @@ class ParamEnv:
     def sign(self, e: AffineLike) -> int:
         return self.cmp(e, 0)
 
-    def value(self, e: AffineLike):
-        if type(e) is AffineExpr:
-            return e.constant if e.slope == 0 else e.constant + e.slope * self.witness
-        return e
-
     # comparison helpers (lhs ? rhs)
 
     def lt(self, lhs: AffineLike, rhs: AffineLike) -> bool:
-        if self.recorder is None:
-            if type(lhs) is AffineExpr:
-                lhs = lhs.constant if lhs.slope == 0 else \
-                    lhs.constant + lhs.slope * self.witness
-            if type(rhs) is AffineExpr:
-                rhs = rhs.constant if rhs.slope == 0 else \
-                    rhs.constant + rhs.slope * self.witness
-            return lhs < rhs
-        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) < 0
+        return self.cmp(lhs, rhs) < 0
 
     def le(self, lhs: AffineLike, rhs: AffineLike) -> bool:
-        if self.recorder is None:
-            return not self.lt(rhs, lhs)
-        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) <= 0
+        return self.cmp(lhs, rhs) <= 0
 
     def gt(self, lhs: AffineLike, rhs: AffineLike) -> bool:
-        if self.recorder is None:
-            return self.lt(rhs, lhs)
-        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) > 0
+        return self.cmp(lhs, rhs) > 0
 
     def ge(self, lhs: AffineLike, rhs: AffineLike) -> bool:
-        if self.recorder is None:
-            return not self.lt(lhs, rhs)
-        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) >= 0
+        return self.cmp(lhs, rhs) >= 0
 
     def eq(self, lhs: AffineLike, rhs: AffineLike) -> bool:
-        if self.recorder is None:
-            return self.value(lhs) == self.value(rhs)
-        return self._recorded_sign(_lowered(lhs), _lowered(rhs)) == 0
-
-    def cmp(self, lhs: AffineLike, rhs: AffineLike) -> int:
-        """Sign of lhs - rhs at the witness."""
-        if self.recorder is None:
-            va, vb = self.value(lhs), self.value(rhs)
-            return (va > vb) - (va < vb)
-        return self._recorded_sign(_lowered(lhs), _lowered(rhs))
+        return self.cmp(lhs, rhs) == 0
 
     def sum_sign(self, terms, rhs: AffineLike) -> int:
         """Sign of sum(terms) - rhs at the witness."""
-        if self.recorder is None:
-            total = None
-            for t in terms:
-                v = self.value(t)
-                total = v if total is None else total + v
-            v = (total if total is not None else 0) - self.value(rhs)
-            return (v > 0) - (v < 0)
-        a, b, d = 0, 0, 1
-        for t in terms:
-            ta, tb, td = _lowered(t)
-            a, b, d = a * td + ta * d, b * td + tb * d, d * td
-        return self._recorded_sign((a, b, d), _lowered(rhs))
+        return self.cmp(lowered_sum(terms), rhs)
 
     def is_multiple(self, e: AffineLike, modulus: int | Fraction, *,
                     allow_zero: bool = True) -> bool:
@@ -309,9 +288,12 @@ class ParamEnv:
                 points = splits[key] = tuple(multiples_in_unit_interval(
                     e, modulus, allow_zero=allow_zero))
             self.recorder.points.update(points)
-        a, b, d = _lowered(e)
+        a, b, d = lowered(e)
         num = (a * self._v + b * self._u) * modulus.denominator
         den = d * self._v * modulus.numerator
         if num % den:
             return False
         return num // den >= (0 if allow_zero else 1)
+
+
+_CONCRETE = ParamEnv()

@@ -218,6 +218,16 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="seminorm-freq-count-3"),
     pytest.param(["seminorm", "--space", _W, "--radius", "0"], 2,
                  id="seminorm-radius"),
+    pytest.param(["seminorm", "--space", _W, "--radius", "nan"], 2,
+                 id="seminorm-radius-nan"),
+    pytest.param(["seminorm", "--space", _W, "--radius", "inf"], 2,
+                 id="seminorm-radius-inf"),
+    pytest.param(["seminorm", "--space", _W, "--sigma", "1e400"], 2,
+                 id="seminorm-sigma-overflow"),
+    pytest.param(["seminorm", "--space", _W, "--freq", "1e400"], 2,
+                 id="seminorm-freq-overflow"),
+    pytest.param(["seminorm", "--space", _W, "--dilations", "1,1e400"], 2,
+                 id="seminorm-dilation-overflow"),
     pytest.param(["realize", "--sigma", "1/0", "--pi", "1/2", "--rho", "1/2"],
                  2, id="realize-zero-denominator"),
     pytest.param(["app", "stefan", "--n", "3", "--p", "0"], 2, id="app-p"),
@@ -249,6 +259,14 @@ def test_cli_seminorm_names_a_nonpositive_radius():
     res = CliRunner().invoke(main, ["seminorm", "--space", _W, "--radius", "0"])
     assert res.exit_code == 2
     assert "grid radius must be positive" in res.stderr
+
+
+@pytest.mark.parametrize("option", ["sigma", "freq", "dilations"])
+def test_cli_seminorm_names_an_option_that_overflows_a_float(option):
+    res = CliRunner().invoke(main, ["seminorm", "--space", _W,
+                                    f"--{option}", "1e400"])
+    assert res.exit_code == 2
+    assert f"--{option} values must fit a float" in res.stderr
 
 
 def test_cli_malformed_prelude_is_a_usage_error(tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance, Scale,
                        SpaceDescr, Verdict, decide_algebra,
@@ -13,7 +15,7 @@ from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance, Scale,
 from anisocalc.errors import (ClosureFromUncovered, HypothesisViolation,
                               NotIdentifiable)
 from anisocalc.multiply import _subset_index_signs
-from anisocalc.ratcore import ParamEnv
+from anisocalc.ratcore import BreakpointRecorder, ParamEnv, X
 
 from conftest import rand_aniso, rand_mult_instance, rand_x
 
@@ -121,6 +123,40 @@ def test_subset_form_equals_two_branch_form(rng):
         signs = _subset_index_signs(AffineExpr(ind),
                                     [AffineExpr(v) for v in inds], env)
         assert (all(s >= 0 for s in signs)) == _two_branch(ind, inds)
+
+
+_RATS = st.builds(F, st.integers(-1000, 1000), st.integers(1, 1000))
+
+
+@st.composite
+def _subset_cases(draw):
+    """(witness, ind, inds) with 1 to 4 factor indices; ind may tie with
+    one subset sum everywhere or cross it exactly at the witness."""
+    den = draw(st.integers(2, 1000))
+    w = F(draw(st.integers(1, den - 1)), den)
+    inds = [AffineExpr(draw(_RATS), draw(_RATS))
+            for _ in range(draw(st.integers(1, 4)))]
+    subset = [e for e in inds if draw(st.booleans())] or inds[:1]
+    tie = sum(subset, AffineExpr())
+    ind = draw(st.sampled_from((
+        AffineExpr(draw(_RATS), draw(_RATS)), tie,
+        tie + draw(_RATS.filter(bool)) * (X - w))))
+    return w, ind, inds
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_subset_cases())
+def test_subset_index_signs_match_fraction_subset_sums(case):
+    w, ind, inds = case
+    diffs = [sum((e for j, e in enumerate(inds) if mask >> j & 1),
+                 AffineExpr()) - ind for mask in range(1, 1 << len(inds))]
+    want = [(d(w) > 0) - (d(w) < 0) for d in diffs]
+    roots = {r for d in diffs if (r := d.root()) is not None and 0 < r < 1}
+    assert _subset_index_signs(ind, inds, ParamEnv(w)) == want
+    rec = BreakpointRecorder()
+    assert _subset_index_signs(ind, inds, ParamEnv(w, rec)) == want
+    assert rec.points == roots
 
 
 def test_permutation_invariance(rng):
@@ -258,7 +294,9 @@ def test_unregistered_signature_raises():
     f1 = SpaceDescr.bessel(2, F(1, 4), a, v1)
     f2 = SpaceDescr.bessel(2, F(1, 4), a, v2)
     tgt = SpaceDescr.bessel(1, F(1, 4), a, v1)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation,
+                       match=r"^inadmissible value-space product "
+                             r"\(Lp\(A\), Lp\(B\)\) -> Lp\(A\)$"):
         decide_multiplication(MultInstance.of((f1, f2), tgt))
 
 

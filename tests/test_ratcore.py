@@ -1,10 +1,13 @@
 """Exact arithmetic and sign-analysis tests."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import anisocalc
 from anisocalc.ratcore import (AffineExpr, BreakpointRecorder, ParamEnv, X,
                                multiples_in_unit_interval, render_affine_p,
                                render_affine_x)
@@ -226,3 +229,14 @@ def test_renderers():
     assert render_affine_p(e) == "1/2 - 5/2p"
     assert render_affine_p(AffineExpr(F(2), F(-1))) == "2 - 1/p"
     assert render_affine_p(AffineExpr(F(0), F(3))) == "3/p"
+
+
+def test_rule_modules_read_no_recorder():
+    # one sign path: whether a comparison records its root is decided in
+    # ParamEnv alone, so no rule or query module branches on the recorder
+    src = Path(anisocalc.__file__).parent
+    for name in ("embed", "multiply", "nemytskij", "appsuite", "dsl"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "recorder"]
+        assert lines == [], f"{name}.py reads .recorder at lines {lines}"
