@@ -9,6 +9,7 @@ concrete verdicts and the symbolic solver.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -86,8 +87,18 @@ class ConditionLog:
     def passed(self, label: str, anchor: str, note: str = "") -> None:
         self.entries.append(TraceEntry(label, anchor, Status.PASS, note))
 
-    def skip(self, label: str, anchor: str, note: str = "") -> None:
-        self.entries.append(TraceEntry(label, anchor, Status.NOT_APPLICABLE, note))
+    def check_or_skip(self, skip: str | None, label: str, anchor: str,
+                      predicate: Callable[[], bool], note: str = "") -> bool:
+        """A premise-gated condition: NOT_APPLICABLE with the reason
+        ``skip`` when its premise fails, else :meth:`check` of
+        ``predicate()``.  The predicate runs only when the condition
+        applies, so a skipped one compares nothing and records no case
+        split.  False only on failure."""
+        if skip is not None:
+            self.entries.append(TraceEntry(label, anchor, Status.NOT_APPLICABLE,
+                                           skip))
+            return True
+        return self.check(label, anchor, predicate(), note)
 
     def extend(self, other: "ConditionLog") -> None:
         self.entries.extend(other.entries)
@@ -110,20 +121,13 @@ class ConditionLog:
 
 def _index_condition(log: ConditionLog, label: str, anchor: str,
                      src_ind: AffineExpr, dst_ind: AffineExpr,
-                     env: ParamEnv) -> int:
-    """Check dst index <= src index; returns the sign of (src - dst)."""
+                     env: ParamEnv) -> str | None:
+    """Check dst index <= src index; returns why the side condition of a
+    strict index inequality does not apply (None unless strict)."""
     sgn = env.cmp(src_ind, dst_ind)
     note = "strict" if sgn > 0 else ("equal" if sgn == 0 else "violated")
     log.check(label, anchor, sgn >= 0, note)
-    return sgn
-
-
-def _side_condition(log: ConditionLog, label: str, anchor: str,
-                    index_sign: int, ok_when_equal: bool, note: str) -> None:
-    if index_sign > 0:
-        log.skip(label, anchor, "index inequality strict")
-    else:
-        log.check(label, anchor, ok_when_equal, note)
+    return "index inequality strict" if sgn > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +143,11 @@ def _rule_b_b(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
     log.check("smoothness does not increase", a, env.le(dst.s, src.s))
     log.check("integrability exponent does not decrease", a,
               env.ge(src.x, dst.x))
-    sgn = _index_condition(log, "index does not increase", a,
-                           sobolev_index(src), sobolev_index(dst), env)
-    _side_condition(log, "index strict or micro-scale does not decrease", a,
-                    sgn, env.ge(src.micro(), dst.micro()),
-                    "micro-scale comparison at equal index")
+    strict = _index_condition(log, "index does not increase", a,
+                              sobolev_index(src), sobolev_index(dst), env)
+    log.check_or_skip(strict, "index strict or micro-scale does not decrease",
+                      a, lambda: env.ge(src.micro(), dst.micro()),
+                      "micro-scale comparison at equal index")
     return log
 
 
@@ -170,11 +174,11 @@ def _rule_b_h(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
     log.check("smoothness strictly drops", a, env.lt(dst.s, src.s))
     log.check("integrability exponent does not decrease", a,
               env.ge(src.x, dst.x))
-    sgn = _index_condition(log, "index does not increase", a,
-                           sobolev_index(src), sobolev_index(dst), env)
-    _side_condition(log, "index strict or micro-scale at most target "
-                    "integrability", a, sgn, env.ge(src.micro(), dst.x),
-                    "micro-scale comparison at equal index")
+    strict = _index_condition(log, "index does not increase", a,
+                              sobolev_index(src), sobolev_index(dst), env)
+    log.check_or_skip(strict, "index strict or micro-scale at most target "
+                      "integrability", a, lambda: env.ge(src.micro(), dst.x),
+                      "micro-scale comparison at equal index")
     return log
 
 
@@ -187,11 +191,11 @@ def _rule_h_b(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
     log.check("smoothness strictly drops", a, env.lt(dst.s, src.s))
     log.check("integrability exponent does not decrease", a,
               env.ge(src.x, dst.x))
-    sgn = _index_condition(log, "index does not increase", a,
-                           sobolev_index(src), sobolev_index(dst), env)
-    _side_condition(log, "index strict or source integrability at most "
-                    "target micro-scale", a, sgn, env.le(dst.micro(), src.x),
-                    "micro-scale comparison at equal index")
+    strict = _index_condition(log, "index does not increase", a,
+                              sobolev_index(src), sobolev_index(dst), env)
+    log.check_or_skip(strict, "index strict or source integrability at most "
+                      "target micro-scale", a, lambda: env.le(dst.micro(), src.x),
+                      "micro-scale comparison at equal index")
     return log
 
 
@@ -203,10 +207,10 @@ def _rule_h_l(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
               env.gt(src.x, 0) and env.lt(src.x, 1) and env.ge(dst.x, 0))
     log.check("target exponent does not drop below the source one", a,
               env.le(dst.x, src.x))
-    sgn = _index_condition(log, "adapted index does not increase", a,
-                           sobolev_index(src), sobolev_index(dst), env)
-    _side_condition(log, "index strict or finite target exponent", a,
-                    sgn, env.gt(dst.x, 0), "finite exponent at equal index")
+    strict = _index_condition(log, "adapted index does not increase", a,
+                              sobolev_index(src), sobolev_index(dst), env)
+    log.check_or_skip(strict, "index strict or finite target exponent", a,
+                      lambda: env.gt(dst.x, 0), "finite exponent at equal index")
     return log
 
 
@@ -219,12 +223,12 @@ def _rule_b_l(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
               env.ge(dst.x, 0) and env.lt(dst.x, 1))
     log.check("target exponent does not drop below the source one", a,
               env.le(dst.x, src.x))
-    sgn = _index_condition(log, "adapted index does not increase", a,
-                           sobolev_index(src), sobolev_index(dst), env)
-    _side_condition(log, "index strict or (micro-scale at most source "
-                    "integrability and finite target exponent)", a, sgn,
-                    env.ge(src.micro(), src.x) and env.gt(dst.x, 0),
-                    "micro-scale and finiteness at equal index")
+    strict = _index_condition(log, "adapted index does not increase", a,
+                              sobolev_index(src), sobolev_index(dst), env)
+    log.check_or_skip(strict, "index strict or (micro-scale at most source "
+                      "integrability and finite target exponent)", a,
+                      lambda: env.ge(src.micro(), src.x) and env.gt(dst.x, 0),
+                      "micro-scale and finiteness at equal index")
     return log
 
 

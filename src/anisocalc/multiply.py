@@ -75,11 +75,10 @@ def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
     for sp in (*inst.factors, inst.target):
         check_target_flags(sp)
     log.passed("UMD value spaces", "hyp.umd")
-    if not inst.target.aniso.is_isotropic:
-        log.passed("property (alpha) for anisotropic weights", "hyp.alpha")
-    else:
-        log.skip("property (alpha) for anisotropic weights", "hyp.alpha",
-                 "isotropic weights")
+    # check_target_flags has verified property (alpha) where it applies
+    log.check_or_skip(
+        "isotropic weights" if inst.target.aniso.is_isotropic else None,
+        "property (alpha) for anisotropic weights", "hyp.alpha", lambda: True)
     factor_targets = tuple(f.target for f in inst.factors)
     result_target = inst.target.target
     if not _product_admissible(factor_targets, result_target):
@@ -88,6 +87,14 @@ def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
             f"({', '.join(t.name for t in factor_targets)}) -> "
             f"{result_target.name}")
     log.passed("admissible value-space product", "hyp.signature")
+
+
+def _target_scale_gates(x_t: Scale) -> tuple[str | None, str | None]:
+    """Why the conditions for a Besov and for a Bessel-potential target do
+    not apply to a target on the scale ``x_t`` (None where they do)."""
+    return (None if x_t is Scale.B else "target not on the Besov scale",
+            None if x_t is Scale.H else
+            "target not on the Bessel-potential scale")
 
 
 def _one_parameter_besov(spaces, env: ParamEnv, log: ConditionLog) -> bool:
@@ -135,13 +142,8 @@ def decide_multiplication_in(inst: MultInstance, env: ParamEnv) -> Decision:
     if not _one_parameter_besov([*facs, tgt], env, log):
         return log.decision()
 
-    ok_range = env.ge(tgt.s, 0) and all(env.ge(f.s, 0) for f in facs)
-    ok_range = ok_range and env.gt(tgt.x, 0) and env.lt(tgt.x, 1)
-    if ok_range:
-        for f in facs:
-            if not (env.gt(f.x, 0) and env.lt(f.x, 1)):
-                ok_range = False
-                break
+    ok_range = env.ge(tgt.s, 0) and all(env.ge(f.s, 0) for f in facs) and \
+        all(env.gt(sp.x, 0) and env.lt(sp.x, 1) for sp in (tgt, *facs))
     if not log.check("parameter ranges", "mult.range", ok_range):
         return log.decision()
 
@@ -171,70 +173,35 @@ def decide_multiplication_in(inst: MultInstance, env: ParamEnv) -> Decision:
         return log.decision()
 
     x_t = effective_scale(tgt)
-    x_f = [effective_scale(f) for f in facs]
-
-    # (a)
-    off_scale = [j for j, xf in enumerate(x_f) if xf is not x_t]
-    if off_scale:
-        if not log.check("(a) off-scale factors strictly smoother", "mult.a",
-                         all(i_signs[j] > 0 for j in off_scale)):
-            return log.decision()
-    else:
-        log.skip("(a) off-scale factors strictly smoother", "mult.a",
-                 "all factors on the target scale")
-
-    # (b)
-    if x_t is Scale.B:
-        equal_s = [j for j, sg in enumerate(i_signs) if sg == 0]
-        ok_b = env.gt(tgt.s, 0) and all(env.eq(facs[j].x, tgt.x)
-                                        for j in equal_s)
-        if not log.check("(b) positive smoothness; equal-smoothness factors "
-                         "share the integrability", "mult.b", ok_b):
-            return log.decision()
-    else:
-        log.skip("(b) positive smoothness; equal-smoothness factors share "
-                 "the integrability", "mult.b", "target not on the Besov scale")
-
-    # (c)
-    if x_t is Scale.B:
-        if iii_strict:
-            log.skip("(c) index strict or no factor exponent above the "
-                     "target one", "mult.c", "(iii) strict")
-        elif not log.check("(c) index strict or no factor exponent above the "
-                           "target one", "mult.c",
-                           all(env.ge(f.x, tgt.x) for f in facs)):
-            return log.decision()
-    else:
-        log.skip("(c) index strict or no factor exponent above the target "
-                 "one", "mult.c", "target not on the Besov scale")
-
-    # (d)
-    if x_t is Scale.H:
-        d_ok = env.is_multiple(tgt.s, wd, allow_zero=True) or i_strict or \
-            ii_sign == 0
-        log.check("(d) smoothness multiple of lcm(w), or (i) strict, or "
-                  "equality in (ii)", "mult.d", d_ok)
-    else:
-        log.skip("(d) smoothness multiple of lcm(w), or (i) strict, or "
-                 "equality in (ii)", "mult.d", "target not on the "
-                 "Bessel-potential scale")
-
-    # (e)
-    if off_scale:
-        log.check("(e) (ii) or (iii) strict for mixed scales", "mult.e",
-                  ii_sign > 0 or iii_strict)
-    else:
-        log.skip("(e) (ii) or (iii) strict for mixed scales", "mult.e",
-                 "all factors on the target scale")
-
-    # (f)
-    zero_ind = [j for j, e in enumerate(inds) if env.eq(e, 0)]
-    if zero_ind:
-        log.check("(f) (iii) strict when a factor index vanishes", "mult.f",
-                  iii_strict)
-    else:
-        log.skip("(f) (iii) strict when a factor index vanishes", "mult.f",
-                 "no factor index vanishes")
+    not_b, not_h = _target_scale_gates(x_t)
+    off_scale = [j for j, f in enumerate(facs) if effective_scale(f) is not x_t]
+    on_scale = None if off_scale else "all factors on the target scale"
+    if not log.check_or_skip(on_scale,
+                             "(a) off-scale factors strictly smoother",
+                             "mult.a",
+                             lambda: all(i_signs[j] > 0 for j in off_scale)):
+        return log.decision()
+    if not log.check_or_skip(not_b, "(b) positive smoothness; equal-smoothness "
+                             "factors share the integrability", "mult.b",
+                             lambda: env.gt(tgt.s, 0) and all(
+                                 env.eq(f.x, tgt.x)
+                                 for f, sg in zip(facs, i_signs) if sg == 0)):
+        return log.decision()
+    if not log.check_or_skip(not_b or ("(iii) strict" if iii_strict else None),
+                             "(c) index strict or no factor exponent above "
+                             "the target one", "mult.c",
+                             lambda: all(env.ge(f.x, tgt.x) for f in facs)):
+        return log.decision()
+    log.check_or_skip(not_h, "(d) smoothness multiple of lcm(w), or (i) "
+                      "strict, or equality in (ii)", "mult.d",
+                      lambda: env.is_multiple(tgt.s, wd, allow_zero=True)
+                      or i_strict or ii_sign == 0)
+    log.check_or_skip(on_scale, "(e) (ii) or (iii) strict for mixed scales",
+                      "mult.e", lambda: ii_sign > 0 or iii_strict)
+    zero_ind = [e for e in inds if env.eq(e, 0)]
+    log.check_or_skip(None if zero_ind else "no factor index vanishes",
+                      "(f) (iii) strict when a factor index vanishes",
+                      "mult.f", lambda: iii_strict)
 
     decision = log.decision()
     failed = [e.anchor for e in decision.trace if e.status is Status.FAIL]
@@ -273,12 +240,10 @@ def decide_multiplier_in(inst: MultInstance, ell: int,
             f"integrability; got {pivot} vs {tgt}")
     log.passed("pivot factor equals the target", "multiplier.pivot")
 
-    ok_range = env.ge(tgt.s, 0) and all(env.ge(f.s, tgt.s) for f in facs)
-    ok_range &= env.gt(tgt.x, 0) and env.lt(tgt.x, 1)
-    for f in facs:
-        ok_range &= env.gt(f.x, 0) and env.lt(f.x, 1)
     log.check("smoothness ordered and exponents in (1, oo)",
-              "multiplier.range", ok_range)
+              "multiplier.range",
+              env.ge(tgt.s, 0) and all(env.ge(f.s, tgt.s) for f in facs) and
+              all(env.gt(sp.x, 0) and env.lt(sp.x, 1) for sp in (tgt, *facs)))
 
     ind = sobolev_index(tgt)
     others = [(j, f) for j, f in enumerate(facs, start=1) if j != ell]
@@ -289,29 +254,18 @@ def decide_multiplier_in(inst: MultInstance, ell: int,
               all(env.ge(sobolev_index(f), ind) for _, f in others))
 
     x_t = effective_scale(tgt)
-    off_scale = [(j, f) for j, f in others if effective_scale(f) is not x_t]
-    if off_scale:
-        log.check("(a) off-scale factors strictly smoother", "multiplier.a",
-                  all(env.gt(f.s, tgt.s) for _, f in off_scale))
-    else:
-        log.skip("(a) off-scale factors strictly smoother", "multiplier.a",
-                 "all factors on the target scale")
-
-    if x_t is Scale.B:
-        log.check("(b) positive smoothness and no factor exponent above the "
-                  "target one", "multiplier.b",
-                  env.gt(tgt.s, 0) and all(env.ge(f.x, tgt.x) for f in facs))
-    else:
-        log.skip("(b) positive smoothness and no factor exponent above the "
-                 "target one", "multiplier.b", "target not on the Besov scale")
-
-    if x_t is Scale.H:
-        log.check("(c) smoothness multiple of lcm(w)", "multiplier.c",
-                  env.is_multiple(tgt.s, tgt.aniso.omega_dot, allow_zero=True))
-    else:
-        log.skip("(c) smoothness multiple of lcm(w)", "multiplier.c",
-                 "target not on the Bessel-potential scale")
-
+    not_b, not_h = _target_scale_gates(x_t)
+    off_scale = [f for _, f in others if effective_scale(f) is not x_t]
+    log.check_or_skip(None if off_scale else "all factors on the target scale",
+                      "(a) off-scale factors strictly smoother", "multiplier.a",
+                      lambda: all(env.gt(f.s, tgt.s) for f in off_scale))
+    log.check_or_skip(not_b, "(b) positive smoothness and no factor exponent "
+                      "above the target one", "multiplier.b",
+                      lambda: env.gt(tgt.s, 0) and
+                      all(env.ge(f.x, tgt.x) for f in facs))
+    log.check_or_skip(not_h, "(c) smoothness multiple of lcm(w)",
+                      "multiplier.c", lambda: env.is_multiple(
+                          tgt.s, tgt.aniso.omega_dot, allow_zero=True))
     return log.decision()
 
 

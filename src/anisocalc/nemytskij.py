@@ -14,10 +14,11 @@ from typing import Sequence
 
 from .embed import ConditionLog, Decision, Verdict
 from .errors import HypothesisViolation
-from .multiply import MultInstance, _hypotheses, _one_parameter_besov
+from .multiply import (MultInstance, _hypotheses, _one_parameter_besov,
+                       _target_scale_gates)
 from .ratcore import ParamEnv, Rational
-from .spaces import (Scale, SpaceDescr, effective_scale, normalize,
-                     require_concrete, sobolev_index)
+from .spaces import (SpaceDescr, effective_scale, normalize, require_concrete,
+                     sobolev_index)
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,9 @@ def decide_nemytskij_in(args: Sequence[SpaceDescr], target: SpaceDescr,
     tgt = normalize(target, env)
     if not _one_parameter_besov([*facs, tgt], env, log):
         return log.decision(), None
-    ok_range = env.gt(tgt.s, 0) and env.gt(tgt.x, 0) and env.lt(tgt.x, 1)
-    for f in facs:
-        ok_range = ok_range and env.gt(f.x, 0) and env.lt(f.x, 1)
     log.check("positive smoothness and exponents in (1, oo)",
-              "nemytskij.range", ok_range)
+              "nemytskij.range", env.gt(tgt.s, 0) and
+              all(env.gt(sp.x, 0) and env.lt(sp.x, 1) for sp in (tgt, *facs)))
     ind = sobolev_index(tgt)
     inds = [sobolev_index(f) for f in facs]
 
@@ -103,22 +102,15 @@ def decide_nemytskij_in(args: Sequence[SpaceDescr], target: SpaceDescr,
 
     x_t = effective_scale(tgt)
     off = [j for j, f in enumerate(facs) if effective_scale(f) is not x_t]
-    if off:
-        log.check("(a) off-scale arguments strictly smoother", "nemytskij.a",
-                  all(smooth_signs[j] > 0 for j in off))
-    else:
-        log.skip("(a) off-scale arguments strictly smoother", "nemytskij.a",
-                 "all arguments on the target scale")
-
-    if x_t is Scale.H:
-        ok_b = env.is_multiple(tgt.s, tgt.aniso.omega_dot, allow_zero=False) \
-            or all(sg > 0 for sg in smooth_signs)
-        log.check("(b) smoothness a positive multiple of lcm(w) or strictly "
-                  "below every argument", "nemytskij.b", ok_b)
-    else:
-        log.skip("(b) smoothness a positive multiple of lcm(w) or strictly "
-                 "below every argument", "nemytskij.b",
-                 "target not on the Bessel-potential scale")
+    log.check_or_skip(None if off else "all arguments on the target scale",
+                      "(a) off-scale arguments strictly smoother",
+                      "nemytskij.a", lambda: all(smooth_signs[j] > 0 for j in off))
+    _, not_h = _target_scale_gates(x_t)
+    log.check_or_skip(not_h, "(b) smoothness a positive multiple of lcm(w) or "
+                      "strictly below every argument",
+                      "nemytskij.b", lambda: env.is_multiple(
+                          tgt.s, tgt.aniso.omega_dot, allow_zero=False)
+                      or all(sg > 0 for sg in smooth_signs))
 
     decision = log.decision()
     if decision.verdict is Verdict.COVERED:

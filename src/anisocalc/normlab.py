@@ -392,16 +392,38 @@ def dilated_seminorms(space: SpaceDescr, gauss: GaussianSpec,
                       lambdas: list[float], spacings: tuple[float, ...],
                       decay_radius: float) -> list[tuple[float, float]]:
     """(lambda, seminorm) for each anisotropic dilation of the Gaussian,
-    sampled on one grid."""
+    sampled on one grid.
+
+    A dilation the grid cannot resolve is refused before any grid is
+    sampled: on some axis its width is strictly below the spacing of the
+    axis's slice, or its frequency is above pi over that spacing.
+    """
     dims = tuple(space.aniso.dims)
     weights = tuple(space.aniso.weights)
     semi = _seminorm_for(space)
     _directions(max(dims))  # refuses slices above R^3 before any grid
-    pts = []
+    steps = [dx for nk, dx in zip(dims, spacings) for _ in range(nk)]
+    specs = []
     for lam in lambdas:
+        try:
+            spec = gauss.dilated(lam, weights, dims)
+        except (OverflowError, ZeroDivisionError):
+            raise ResolutionError(f"the Gaussian dilated by lambda = {lam:g} "
+                                  f"overflows a float") from None
+        specs.append(spec)
+        for i, (sig, dx) in enumerate(zip(spec.sigmas, steps), start=1):
+            freq = 0.0 if spec.freqs is None else abs(spec.freqs[i - 1])
+            if sig < dx or freq > math.pi / dx:
+                raise ResolutionError(
+                    f"the Gaussian dilated by lambda = {lam:g} is not resolved "
+                    f"on axis {i}: width {sig:.4g} and frequency {freq:.4g} "
+                    f"against spacing {dx:.4g} (need width >= spacing and "
+                    f"frequency <= pi/spacing)")
+    pts = []
+    for lam, spec in zip(lambdas, specs):
         # keeping u bound until the next grid exists spares malloc about
         # 30 % of the lab's page faults (some 6 % of its time)
-        u = gauss.dilated(lam, weights, dims).sample(dims, spacings, decay_radius)
+        u = spec.sample(dims, spacings, decay_radius)
         pts.append((lam, semi(u, space).value))
     return pts
 

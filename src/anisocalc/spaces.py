@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import HypothesisViolation, NotIdentifiable, Unsupported
-from .ratcore import (AffineExpr, AffineLike, ParamEnv, Rational,
-                      render_affine_p, render_fraction)
+from .ratcore import (AffineExpr, AffineLike, BreakpointRecorder, ParamEnv,
+                      Rational, render_affine_p, render_fraction)
 
 
 class Scale(str, Enum):
@@ -276,11 +276,24 @@ def normalize(space: SpaceDescr, env: ParamEnv | None = None) -> SpaceDescr:
     smoothness collapses to the Lebesgue scale; an explicit Besov
     micro-scale equal to the integrability is dropped.  Value-space flags
     are verified.
+
+    Without an environment a symbolic descriptor is identified only when
+    the identification is the same for every p in (1, oo): a case split
+    met while identifying it marks a p where it changes, and is refused.
     """
     if env is None or (env.recorder is None and space.is_concrete):
         out = space.__dict__.get("_normalized")
         if out is None:
-            out = _normalize(space, ParamEnv.concrete())
+            if space.is_concrete:
+                out = _normalize(space, ParamEnv.concrete())
+            else:
+                splits = BreakpointRecorder()
+                out = _normalize(space, ParamEnv(recorder=splits))
+                if splits.points:
+                    raise NotIdentifiable(
+                        f"{space}: the scale identification changes at p = "
+                        + ", ".join(render_fraction(1 / x)
+                                    for x in sorted(splits.points)))
             object.__setattr__(space, "_normalized", out)
         return out
     return _normalize(space, env)

@@ -1,11 +1,16 @@
 """Application checklists: exact per-term ranges and intersections."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from anisocalc import ParamSet
 from anisocalc.appsuite import run_nvs, run_stefan
+from anisocalc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -98,3 +103,22 @@ def test_facts_carry_anchors():
         assert all(f.anchor for f in report.facts)
         assert all(t.check.anchor for t in report.terms)
         assert report.footnotes
+
+
+def _app_transcript() -> str:
+    """Every `app` checklist at n = 2, 3, 4: solved and at p = 3, text and
+    machine, each as the command, its exit code and its stdout."""
+    blocks = []
+    for problem in ("stefan", "nvs"):
+        for n in ("2", "3", "4"):
+            for mode in (["--solve-p"], ["--p", "3"]):
+                for out in ([], ["--machine"]):
+                    args = ["app", problem, "--n", n, *mode, *out]
+                    res = CliRunner().invoke(main, args)
+                    blocks.append(f"$ anisocalc {' '.join(args)}\n"
+                                  f"[exit {res.exit_code}]\n{res.stdout}")
+    return "".join(blocks)
+
+
+def test_app_checklists_match_golden():
+    assert _app_transcript() == (GOLDEN / "app.txt").read_text()

@@ -239,6 +239,16 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="l1-operand"),
     pytest.param(["interp", f"[L^{{(1)}}_oo(R^2), {_H}]_{{1/2}}"], 3,
                  id="loo-operand"),
+    pytest.param(["interp", "[H^{1-2/p,(1)}_p(R^1), H^{3,(1)}_p(R^1)]_{1/2}"],
+                 3, id="interp-symbolic-zero-order-at-p2"),
+    pytest.param(["interp", "[W^{2-2/p,(1)}_p(R^1), W^{3,(1)}_p(R^1)]_{1/2}"],
+                 3, id="interp-symbolic-w-to-h-at-p2"),
+    pytest.param(["interp", "[H^{1,(1)}_p(R^1), H^{3,(1)}_p(R^1)]_{1/2}"], 0,
+                 id="interp-symbolic-uniform"),
+    pytest.param(["seminorm", "--space", "W^{3/4,(1)}_2(R^1)", "--dilations",
+                  "1,16,256,65536,1e12"], 3, id="seminorm-unresolved-width"),
+    pytest.param(["seminorm", "--space", "W^{3/4,(1)}_2(R^1)", "--freq",
+                  "1e6"], 3, id="seminorm-aliased-freq"),
     pytest.param(["seminorm", "--space", "W^{1/2,(1)}_2(R^{4})"], 3,
                  id="seminorm-slice-dim"),
     pytest.param(["seminorm", "--space", "W^{1/2,(1,1,1,1)}_2(R^{1x1x1x1})"],

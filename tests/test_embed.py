@@ -1,12 +1,19 @@
 """Embedding rules and interpolation identities."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from anisocalc import (COUPLED, AffineExpr, Anisotropy, Scale, SpaceDescr,
-                       Status, Verdict, X, embeds, interpolate_complex,
-                       interpolate_real, isotropic, parabolic, sobolev_index)
+import anisocalc
+from anisocalc import (COUPLED, AffineExpr, Anisotropy, ParamEnv, Scale,
+                       SpaceDescr, Status, Verdict, X, embeds,
+                       interpolate_complex, interpolate_real, isotropic,
+                       parabolic, sobolev_index)
+from anisocalc.dsl import parse_space
+from anisocalc.embed import ConditionLog
+from anisocalc.ratcore import BreakpointRecorder
 from anisocalc.errors import (IncompatibleSpaces, NoInterpolationRule,
                               NotIdentifiable)
 
@@ -288,3 +295,80 @@ def test_c0_embedding_matches_index_criterion(rng):
         assert got == expect, (sp, norm)
         checked += 1
     assert checked > 1200
+
+
+def test_check_or_skip_calls_the_predicate_only_when_it_applies():
+    def boom() -> bool:
+        raise AssertionError("a skipped condition evaluated its predicate")
+
+    rec = BreakpointRecorder()
+    env = ParamEnv(F(1, 2), rec)
+    log = ConditionLog()
+    assert log.check_or_skip("premise fails", "label", "anchor", boom)
+    assert log.check_or_skip("premise fails", "side", "anchor",
+                             lambda: env.lt(X, F(1, 3)))
+    assert rec.points == set()
+    assert log.entries == [
+        ("label", "anchor", Status.NOT_APPLICABLE, "premise fails"),
+        ("side", "anchor", Status.NOT_APPLICABLE, "premise fails")]
+    # an applying condition is a check: its comparison records its root
+    assert not log.check_or_skip(None, "side", "anchor",
+                                 lambda: env.lt(X, F(1, 3)), "note")
+    assert rec.points == {F(1, 3)}
+    assert log.entries[-1] == ("side", "anchor", Status.FAIL, "note")
+    assert not log.ok
+
+
+def test_premise_gated_conditions_have_one_mechanism():
+    # every NOT_APPLICABLE entry of a rule comes from
+    # ConditionLog.check_or_skip; superseded() downgrades a whole log
+    src = Path(anisocalc.__file__).parent
+    allowed = {("embed", "ConditionLog.check_or_skip"),
+               ("embed", "ConditionLog.superseded")}
+    for name in ("embed", "multiply", "nemytskij"):
+        found = []
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.Call) and \
+                        isinstance(child.func, ast.Attribute) and \
+                        child.func.attr == "skip":
+                    found.append((".skip(", scope, child.lineno))
+                if isinstance(child, ast.Attribute) and \
+                        child.attr == "NOT_APPLICABLE" and \
+                        (name, scope) not in allowed:
+                    found.append(("NOT_APPLICABLE", scope, child.lineno))
+                walk(child, inner)
+
+        walk(ast.parse((src / f"{name}.py").read_text()), "")
+        assert found == [], f"{name}.py forks a condition by hand: {found}"
+
+
+@pytest.mark.parametrize("text", [
+    # collapses to L at p = 2 only
+    "H^{1-2/p,(1)}_p(R^1)",
+    # rewrites onto H at p = 2 only, onto B elsewhere
+    "W^{2-2/p,(1)}_p(R^1)",
+])
+def test_symbolic_operand_identified_at_one_p_is_refused(text):
+    # both used to be identified at a hidden p = 2
+    op = parse_space(text)
+    h3 = parse_space("H^{3,(1)}_p(R^1)")
+    with pytest.raises(NotIdentifiable, match="changes at p = 2"):
+        interpolate_complex(op, h3, F(1, 2))
+    with pytest.raises(NotIdentifiable, match="changes at p = 2"):
+        interpolate_real(op, h3, F(1, 2), F(2))
+
+
+def test_symbolic_operand_with_uniform_identification_is_kept():
+    h1 = parse_space("H^{1,(1)}_p(R^1)")
+    h3 = parse_space("H^{3,(1)}_p(R^1)")
+    assert str(interpolate_complex(h1, h3, F(1, 2))) == "H^{2,(1)}_p(R^1)"
+    # s in (1, 5/4) is never an integer: W -> B for every p
+    w = parse_space("W^{5/4-1/4p,(1)}_p(R^1)")
+    w2 = parse_space("W^{1/2,(1)}_p(R^1)")
+    assert str(interpolate_complex(w, w2, F(1, 2))) == \
+        "B^{7/8 - 1/8p,(1)}_p(R^1)"

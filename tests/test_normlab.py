@@ -212,6 +212,50 @@ def test_dilated_seminorms_refuse_before_sampling(monkeypatch, text, error):
         dilated_seminorms(space, spec, [1.0], (0.04,), 10.0)
 
 
+@pytest.mark.parametrize("text, freqs, lambdas, match", [
+    # the dilation by 256 is 1/256 wide on a 1/25 grid
+    ("W^{3/4,(1)}_2(R^1)", None, [1.0, 16.0, 256.0, 65536.0, 1e12],
+     "lambda = 256 .* axis 1"),
+    # a frequency of 1e6 aliases on a 1/25 grid (pi/spacing is 78.5)
+    ("W^{3/4,(1)}_2(R^1)", (1e6,), [1.0], "lambda = 1 .* axis 1"),
+    # the slow axis of a parabolic dilation is the one unresolved
+    ("W^{1/2,(2,1)}_2(R^{1x1})", None, [8.0], "lambda = 8 .* axis 1"),
+    ("W^{1/2,(2,1)}_2(R^{1x1})", (0.0, 50.0), [2.0], "lambda = 2 .* axis 2"),
+    # lambda^w overflows a float, or underflows to zero
+    ("W^{1/2,(2,1)}_2(R^{1x1})", None, [1e200], "overflows"),
+    ("W^{1/2,(2,1)}_2(R^{1x1})", None, [1e-200], "overflows"),
+])
+def test_unresolved_dilations_refused_before_sampling(monkeypatch, text, freqs,
+                                                      lambdas, match):
+    # they used to print saturated or aliased values with exit 0
+    def no_sampling(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(GaussianSpec, "sample", no_sampling)
+    space = parse_space(text)
+    n = sum(space.aniso.dims)
+    with pytest.raises(ResolutionError, match=match):
+        dilated_seminorms(space, GaussianSpec((1.0,) * n, freqs), lambdas,
+                          (0.04,) * len(space.aniso.dims), 10.0)
+
+
+def test_resolution_bound_is_strict():
+    # width exactly one spacing, and frequency exactly pi/spacing, are kept
+    # (perfbench's probe-2d sits at one spacing); one step further is not
+    parabolic2 = parse_space("W^{1/2,(2,1)}_2(R^{1x1})")
+    rows = dilated_seminorms(parabolic2, GaussianSpec((1.0, 1.0)),
+                             [1.0, 2.0], (0.25, 0.25), 4.0)
+    assert [lam for lam, _ in rows] == [1.0, 2.0]
+    edge = GaussianSpec((1.0,), (math.pi / 0.25,))
+    assert dilated_seminorms(W12, edge, [1.0], (0.25,), 4.0)[0][1] > 0
+    with pytest.raises(ResolutionError, match=r"lambda = 2\.001 .* axis 1"):
+        dilated_seminorms(parabolic2, GaussianSpec((1.0, 1.0)),
+                          [2.001], (0.25, 0.25), 4.0)
+    with pytest.raises(ResolutionError, match="axis 1"):
+        dilated_seminorms(W12, GaussianSpec((1.0,), (math.pi / 0.25 * 1.001,)),
+                          [1.0], (0.25,), 4.0)
+
+
 def test_quadrature_convergence_under_halving():
     coarse = seminorm_slobodeckij(_gauss(dx=0.04), W12).value
     fine = seminorm_slobodeckij(_gauss(dx=0.02), W12).value
