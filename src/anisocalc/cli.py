@@ -79,10 +79,11 @@ def _refusing(command):
     return run
 
 
-def _evaluate(text: str, prelude) -> tuple[dsl.Report | None, int]:
+def _evaluate(text: str, prelude,
+              prefix: str = "") -> tuple[dsl.Report | None, int]:
     """parse -> run -> exit code; a refused query has no report."""
     try:
-        report = dsl.run(dsl.parse_query(text, prelude))
+        report = dsl.run(dsl.parse_query(text, prelude, prefix))
     except Exception as exc:
         return None, _refuse(exc)
     return report, report.exit_code
@@ -125,11 +126,8 @@ def _query_command(name: str, prefix: str, help_text: str):
     @_refusing
     def _cmd(query: tuple[str, ...], prelude_path, machine, explain):
         prelude = _load_prelude(prelude_path)
-        text = " ".join(query)
-        if prefix and not text.lstrip().startswith(prefix):
-            text = f"{prefix}{text}"
         t0 = time.perf_counter()
-        report, code = _evaluate(text, prelude)
+        report, code = _evaluate(" ".join(query), prelude, prefix)
         if report is not None:
             _emit(report, machine, explain, (time.perf_counter() - t0) * 1e3)
         sys.exit(code)

@@ -12,12 +12,14 @@ as a literal p that may only occur in reciprocals::
 Queries: ``A -> B ?`` (embedding), ``A * B -> C ?`` (multiplication),
 ``multiplier: ...``, ``nemytskij: ...``, ``algebra A ?``, ``index A``,
 ``solve p: <query>``, ``[A, B]_{1/2}`` and ``(A, B)_{1/2, q}``
-(interpolation).
+(interpolation).  Whitespace between tokens is free, and keywords and scale
+letters need no separator: ``indexH^{2,(1)}_p(R^2)`` is an index query.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -30,7 +32,7 @@ from .multiply import (MultInstance, decide_algebra_in,
                        decide_multiplication_in, decide_multiplier_in)
 from .nemytskij import AnalyticSpec, ConstantsLedger, decide_nemytskij_in
 from .psolver import ParamSet, solve_param
-from .ratcore import (AffineExpr, ParamEnv, render_affine_p,
+from .ratcore import (X, AffineExpr, ParamEnv, render_affine_p,
                       render_fraction)
 from .spaces import (SCALARS, Anisotropy, Scale, SpaceDescr, TargetSpace,
                      lp_valued, require_concrete, sobolev_index)
@@ -72,38 +74,58 @@ class ParseError(EngineError):
 def parse_prelude(text: str) -> dict[str, tuple[int, ...]]:
     """Alias bindings, one per line: ``Sigma = 2`` or ``Omega = 1x3``."""
     out = dict(DEFAULT_PRELUDE)
-    for raw in text.splitlines():
+    end = 0
+    for raw in text.splitlines(keepends=True):
+        at, end = end, end + len(raw)  # errors name the line's first column
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError("prelude lines read ALIAS = dims", raw, 0)
+            raise ParseError("prelude lines read ALIAS = dims", text, at)
         name, dims = (part.strip() for part in line.split("=", 1))
         if not name.isidentifier():
-            raise ParseError(f"bad alias name {name!r}", raw, 0)
+            raise ParseError(f"bad alias name {name!r}", text, at)
         try:
-            out[name] = tuple(int(v) for v in dims.split("x"))
+            values = tuple(int(v) for v in dims.split("x"))
         except ValueError:
-            raise ParseError(f"bad dimension tuple {dims!r}", raw, 0) from None
+            values = (0,)
+        if min(values) <= 0:
+            raise ParseError(f"bad dimension tuple {dims!r}", text, at)
+        out[name] = values
     return out
 
 
+# Whitespace is free between tokens; every read skips it first.
+_SPACE = re.compile(r"\s*")
+_INT = re.compile(r"\d+")
+_RATIONAL = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+_IDENT = re.compile(r"\w+")
+_SCALE = re.compile(r"C0|[BHWL]")
+_WORD = re.compile(r"\w+|\S")
+
+
 class _Cursor:
-    def __init__(self, text: str, prelude: dict[str, tuple[int, ...]]):
-        self.text = text
+    """A position in the text.  With a command ``prefix`` (``"index "``)
+    the prefix is read first and errors count positions in ``text``."""
+
+    def __init__(self, text: str, prelude: dict[str, tuple[int, ...]],
+                 prefix: str = ""):
+        self.typed = text
+        self.text = prefix + text
         self.pos = 0
+        self.offset = len(prefix)
         self.prelude = prelude
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
+        return ParseError(message, self.typed, self.pos - self.offset)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def token_start(self) -> int:
+        """Skip whitespace; the position of the next token."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.pos
 
     def peek(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
+        return self.text.startswith(token, self.token_start())
 
     def take(self, token: str) -> bool:
         if self.peek(token):
@@ -116,17 +138,17 @@ class _Cursor:
             raise self.error(f"expected {token!r}")
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.token_start() == len(self.text)
+
+    def read(self, pattern: re.Pattern, what: str) -> re.Match:
+        match = pattern.match(self.text, self.token_start())
+        if match is None:
+            raise self.error(f"expected {what}")
+        self.pos = match.end()
+        return match
 
     def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        return int(self.read(_INT, "an integer")[0])
 
     def take_denominator(self) -> int:
         den = self.take_int()
@@ -135,14 +157,10 @@ class _Cursor:
         return den
 
     def take_rational(self) -> Fraction:
-        num = self.take_int()
-        save = self.pos
-        if self.take("/"):
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos].isdecimal():
-                return Fraction(num, self.take_denominator())
-            self.pos = save
-        return Fraction(num)
+        num, den = self.read(_RATIONAL, "an integer").groups()
+        if den is not None and int(den) == 0:
+            raise self.error("zero denominator")
+        return Fraction(int(num), int(den or 1))
 
     def take_theta(self) -> Fraction:
         theta = self.take_rational()
@@ -151,116 +169,77 @@ class _Cursor:
         return theta
 
     def take_ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and \
-                (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an identifier")
-        return self.text[start:self.pos]
+        return self.read(_IDENT, "an identifier")[0]
 
 
 def _parse_sexpr(cur: _Cursor) -> AffineExpr:
     """Affine expression in 1/p: terms a, a/b, a/p, a/bp joined by +/-."""
-    total = AffineExpr()
-    first = True
+    sums = [Fraction(0), Fraction(0)]  # the constant and the slope
+    if cur.take("+"):
+        raise cur.error("expression cannot start with '+'")
+    sign = -1 if cur.take("-") else 1
     while True:
-        cur.skip_ws()
-        sign = 1
+        num, den, slope = cur.take_int(), 1, False
+        if cur.take("/"):
+            den = 1 if cur.peek("p") else cur.take_denominator()
+            slope = cur.take("p")
+        elif cur.peek("p"):
+            raise cur.error("p may only appear in reciprocals like 1/p or 1/2p")
+        sums[slope] += Fraction(sign * num, den)
         if cur.take("-"):
             sign = -1
         elif cur.take("+"):
-            if first:
-                raise cur.error("expression cannot start with '+'")
-        elif not first:
-            break
-        first = False
-        num = Fraction(cur.take_int())
-        term = AffineExpr(num)
-        if cur.take("/"):
-            cur.skip_ws()
-            if cur.take("p"):
-                term = AffineExpr(Fraction(0), num)
-            else:
-                den = Fraction(cur.take_denominator())
-                if cur.take("p"):
-                    term = AffineExpr(Fraction(0), num / den)
-                else:
-                    term = AffineExpr(num / den)
-        elif cur.peek("p"):
-            raise cur.error("p may only appear in reciprocals like 1/p or 1/2p")
-        total = total + term * sign
-        cur.skip_ws()
-        if not (cur.peek("+") or cur.peek("-")):
-            break
-    return total
+            sign = 1
+        else:
+            return AffineExpr(*sums)
 
 
-def _parse_weights(cur: _Cursor) -> tuple[int, ...]:
-    cur.expect("(")
+def _parse_ints(cur: _Cursor, sep: str, close: str) -> tuple[int, ...]:
+    """Integers joined by ``sep`` up to ``close``: weights and R^{...} dims."""
     out = [cur.take_int()]
-    while cur.take(","):
+    while cur.take(sep):
         out.append(cur.take_int())
-    cur.expect(")")
+    cur.expect(close)
     return tuple(out)
 
 
-def _parse_exponent(cur: _Cursor) -> AffineExpr | None:
-    """PEXPR / QEXPR: 'p', 'oo', an integer, or '{rational}'.
-
-    Returns the reciprocal as an affine expression (p symbolic -> x);
-    None when the token is the literal 'p' for a micro-scale (q = p).
-    """
-    cur.skip_ws()
-    if cur.take("oo"):
-        return AffineExpr(Fraction(0))
-    if cur.take("{"):
-        val = cur.take_rational()
-        cur.expect("}")
-        if val <= 0:
-            raise cur.error("exponents must be positive")
-        return AffineExpr(1 / val)
-    if cur.take("p"):
-        return AffineExpr(Fraction(0), Fraction(1))
-    val = Fraction(cur.take_int())
-    if val <= 0:
+def _reciprocal(cur: _Cursor, value: Fraction) -> Fraction:
+    """The reciprocal of a literal exponent, which must be positive."""
+    if value <= 0:
         raise cur.error("exponents must be positive")
-    return AffineExpr(1 / val)
+    return 1 / value
+
+
+def _parse_exponent(cur: _Cursor) -> Fraction | None:
+    """PEXPR / QEXPR: 'p', 'oo', an integer, or '{rational}'; the
+    reciprocal, None for the literal p."""
+    if cur.take("oo"):
+        return Fraction(0)
+    if cur.take("p"):
+        return None
+    if not cur.take("{"):
+        return _reciprocal(cur, Fraction(cur.take_int()))
+    value = cur.take_rational()
+    cur.expect("}")
+    return _reciprocal(cur, value)
 
 
 def _parse_domain(cur: _Cursor) -> tuple[tuple[int, ...], str, TargetSpace]:
     cur.expect("(")
-    cur.skip_ws()
-    if cur.peek("R^"):
-        cur.expect("R^")
-        if cur.take("{"):
-            dims = [cur.take_int()]
-            while cur.take("x"):
-                dims.append(cur.take_int())
-            cur.expect("}")
-        else:
-            dims = [cur.take_int()]
-        dims = tuple(dims)
+    if cur.take("R^"):
+        dims = _parse_ints(cur, "x", "}") if cur.take("{") \
+            else (cur.take_int(),)
         label = "R^{" + "x".join(str(d) for d in dims) + "}" \
             if len(dims) > 1 else f"R^{dims[0]}"
     else:
-        name = cur.take_ident()
-        if name in cur.prelude:
-            dims = cur.prelude[name]
-            label = name
-        else:
-            parts = name.split("x")
-            if all(part in cur.prelude for part in parts) and len(parts) > 1:
-                dims = tuple(d for part in parts for d in cur.prelude[part])
-                label = name
-            else:
-                raise cur.error(f"unknown domain alias {name!r}")
-    target = SCALARS
-    if cur.take(";"):
-        target = _parse_target(cur)
+        label = cur.take_ident()
+        parts = [label] if label in cur.prelude else label.split("x")
+        if not all(part in cur.prelude for part in parts):
+            raise cur.error(f"unknown domain alias {label!r}")
+        dims = tuple(d for part in parts for d in cur.prelude[part])
+    target = _parse_target(cur) if cur.take(";") else SCALARS
     cur.expect(")")
-    return tuple(dims), label, target
+    return dims, label, target
 
 
 def _parse_target(cur: _Cursor) -> TargetSpace:
@@ -291,52 +270,36 @@ def parse_space(text: str,
 
 
 def _parse_space(cur: _Cursor) -> SpaceDescr:
-    cur.skip_ws()
-    scale = None
-    for tag, sc in (("C0", Scale.C0), ("B", Scale.B), ("H", Scale.H),
-                    ("W", Scale.W), ("L", Scale.L)):
-        if cur.take(tag):
-            scale = sc
-            break
-    if scale is None:
-        raise cur.error("expected a scale letter (B, H, W, L, C0)")
-
+    scale = Scale(cur.read(_SCALE, "a scale letter (B, H, W, L, C0)")[0])
+    no_smoothness = scale in (Scale.L, Scale.C0)
     s = AffineExpr()
     weights: tuple[int, ...] | None = None
     if cur.take("^{"):
-        cur.skip_ws()
-        if scale in (Scale.L, Scale.C0):
-            weights = _parse_weights(cur)
-        else:
+        if not no_smoothness:
             s = _parse_sexpr(cur)
-            if cur.take(","):
-                weights = _parse_weights(cur)
+        if no_smoothness or cur.take(","):
+            cur.expect("(")
+            weights = _parse_ints(cur, ",", ")")
         cur.expect("}")
-    elif scale in (Scale.B, Scale.H, Scale.W):
+    elif not no_smoothness:
         raise cur.error(f"scale {scale} needs a smoothness block '^{{...}}'")
 
     x = AffineExpr()
-    y: Fraction | None = None
+    y: Fraction | None = None  # a symbolic micro-scale means q = p
     if scale is not Scale.C0:
         cur.expect("_")
-        cur.skip_ws()
         if cur.take("{"):
-            xv = cur.take_rational()
-            if xv <= 0:
-                raise cur.error("exponents must be positive")
-            x = AffineExpr(1 / xv)
+            x = AffineExpr(_reciprocal(cur, cur.take_rational()))
             if cur.take(","):
                 if scale is not Scale.B:
                     raise cur.error("only the Besov scale takes a micro-scale")
-                q = _parse_exponent(cur)
-                y = q.constant if q.is_constant else None  # symbolic q means q = p
+                y = _parse_exponent(cur)
             cur.expect("}")
         else:
-            x = _parse_exponent(cur)
-        if cur.peek("_") and scale is Scale.B:
-            cur.expect("_")
-            q = _parse_exponent(cur)
-            y = None if not q.is_constant else q.constant
+            xv = _parse_exponent(cur)
+            x = X if xv is None else AffineExpr(xv)
+        if scale is Scale.B and cur.take("_"):
+            y = _parse_exponent(cur)
     if scale is Scale.B and y is not None and x.is_constant and y == x.constant:
         y = None
     if x.is_constant and not s.is_constant:
@@ -369,9 +332,14 @@ class Query:
         return format_query(self)
 
 
-def parse_query(text: str,
-                prelude: dict[str, tuple[int, ...]] | None = None) -> Query:
-    cur = _Cursor(text, prelude or DEFAULT_PRELUDE)
+def parse_query(text: str, prelude: dict[str, tuple[int, ...]] | None = None,
+                prefix: str = "") -> Query:
+    """A query; a command's keyword ``prefix`` (``"solve p: "``) is implied
+    unless the text starts with its words."""
+    prelude = prelude or DEFAULT_PRELUDE
+    cur = _Cursor(text, prelude)
+    typed = all(cur.take(word) for word in _WORD.findall(prefix))
+    cur = _Cursor(text, prelude, "" if typed else prefix)
     query = _parse_query(cur)
     if not cur.at_end():
         raise cur.error("trailing input after the query")
@@ -379,9 +347,7 @@ def parse_query(text: str,
 
 
 def _parse_query(cur: _Cursor) -> Query:
-    cur.skip_ws()
     if cur.take("solve"):
-        cur.skip_ws()
         cur.expect("p")
         cur.expect(":")
         inner = _parse_query(cur)
@@ -400,42 +366,32 @@ def _parse_query(cur: _Cursor) -> Query:
         if cur.take(kind):
             cur.expect(":")
             return _parse_product(cur, kind)
-    if cur.peek("["):
-        cur.expect("[")
-        a = _parse_space(cur)
-        cur.expect(",")
-        b = _parse_space(cur)
-        cur.expect("]")
-        cur.expect("_")
-        cur.expect("{")
-        theta = cur.take_theta()
-        cur.expect("}")
-        return Query("interp", {"method": "complex", "a": a, "b": b,
-                                "theta": theta})
-    if cur.peek("("):
-        cur.expect("(")
-        a = _parse_space(cur)
-        cur.expect(",")
-        b = _parse_space(cur)
-        cur.expect(")")
-        cur.expect("_")
-        cur.expect("{")
-        theta = cur.take_theta()
-        q: object = COUPLED
-        if cur.take(","):
-            cur.skip_ws()
-            if cur.take("p"):
-                q = COUPLED
-            elif cur.take("oo"):
-                q = Fraction(0)
-            else:
-                q = cur.take_rational()
-                if q <= 0:  # 0 stands for oo internally
-                    raise cur.error("the functor parameter q must be positive")
-        cur.expect("}")
-        return Query("interp", {"method": "real", "a": a, "b": b,
-                                "theta": theta, "q": q})
+    for method, opener, closer in (("complex", "[", "]"), ("real", "(", ")")):
+        if cur.take(opener):
+            a = _parse_space(cur)
+            cur.expect(",")
+            b = _parse_space(cur)
+            cur.expect(closer)
+            cur.expect("_")
+            cur.expect("{")
+            p = {"method": method, "a": a, "b": b, "theta": cur.take_theta()}
+            if method == "real":
+                p["q"] = _parse_functor_q(cur)
+            cur.expect("}")
+            return Query("interp", p)
     return _parse_product(cur, None)
+
+
+def _parse_functor_q(cur: _Cursor) -> object:
+    """The q of ``(A, B)_{θ, q}``: 'p' (the default), 'oo' or a rational."""
+    if not cur.take(",") or cur.take("p"):
+        return COUPLED
+    if cur.take("oo"):
+        return Fraction(0)  # 0 stands for oo internally
+    q = cur.take_rational()
+    if q <= 0:
+        raise cur.error("the functor parameter q must be positive")
+    return q
 
 
 _PREFIXED = ("multiplier", "nemytskij")

@@ -1,7 +1,9 @@
 """Grammar, reports, machine output and the command-line interface."""
 
+import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import anisocalc
-from anisocalc import AffineExpr, Scale, X
+from anisocalc import AffineExpr, Scale, X, dsl
 from anisocalc.cli import main
 from anisocalc.dsl import (ParseError, format_query, parse_prelude,
                            parse_query, parse_space, run)
@@ -85,6 +87,43 @@ def test_parse_refuses_digits_int_cannot_read(text):
     with pytest.raises(ParseError, match=r"^expected an integer \(line 1, "
                        rf"column {text.index('²') + 1}\)$"):
         parse_space(text)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("indexH^{2,(2,1)}_p(R^{1x3})", "index H^{2,(2,1)}_p(R^{1x3})"),
+    ("solvep:algebra W^{1-1/p,(2,1)}_p(JxSigma)",
+     "solve p: algebra W^{1 - 1/p,(2,1)}_p(JxSigma) ?"),
+    ("index B^{2,(2,1)}_p_oo(JxSigma)", "index B^{2,(2,1)}_p_oo(JxSigma)"),
+    (" index\tH^{ 2 - 1 / 2 p , ( 2 , 1 ) } _ { 7 / 2 } ( R^{ 1 x 3 } ) ",
+     "index H^{13/7,(2,1)}_{7/2}(R^{1x3})"),
+    ("( L^{(1)}_2(R^2) , L^{(1)}_6(R^2) ) _ { 1 / 2 , 3 / 2 }",
+     "(L^{(1)}_2(R^2), L^{(1)}_6(R^2))_{1/2, 3/2}"),
+])
+def test_whitespace_between_tokens_is_free(text, canonical):
+    assert format_query(parse_query(text)) == canonical
+
+
+def test_dsl_reads_text_through_compiled_patterns():
+    # one scanning mechanism: the cursor's patterns read whitespace,
+    # integers and identifiers; only the balanced Lp(...) scan of
+    # _parse_target walks the text by hand, since re cannot match nesting
+    tree = ast.parse(Path(dsl.__file__).read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in
+             ("isspace", "isdecimal", "isdigit", "isalnum")]
+    assert lines == [], f"dsl.py tests characters at lines {lines}"
+
+    def text_subscripts(root):
+        return {node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "text"}
+
+    target = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_parse_target")
+    outside = text_subscripts(tree) - text_subscripts(target)
+    assert outside == set(), f"dsl.py subscripts text at lines {outside}"
 
 
 def test_custom_prelude():
@@ -231,6 +270,14 @@ _W = "W^{1/2,(1)}_2(R^1)"
     pytest.param(["realize", "--sigma", "1/0", "--pi", "1/2", "--rho", "1/2"],
                  2, id="realize-zero-denominator"),
     pytest.param(["app", "stefan", "--n", "3", "--p", "0"], 2, id="app-p"),
+    pytest.param(["solve-p", "solve p:algebra W^{1-1/p,(2,1)}_p(JxSigma) ?"],
+                 0, id="solve-prefix-unspaced"),
+    pytest.param(["multiplier", "multiplier:W^{2-1/p,(2,1)}_3(JxSigma) * "
+                  "W^{1-1/p,(2,1)}_3(JxSigma) -> W^{1-1/p,(2,1)}_3(JxSigma) ?"],
+                 0, id="multiplier-prefix-unspaced"),
+    pytest.param(["nemytskij", "nemytskij :W^{5/2-1/p,(2,1)}_3(JxSigma) * "
+                  "W^{5/2-1/p,(2,1)}_3(JxSigma) -> W^{5/2-1/p,(2,1)}_3(JxSigma) ?"],
+                 0, id="nemytskij-prefix-spaced"),
     pytest.param(["algebra", "H^{2,(2,1)}_4(JxSigma; Lp(Rdot)) ?"], 3,
                  id="hypothesis"),
     pytest.param(["interp", f"[{_H}, H^{{2,(1)}}_3(R^2)]_{{1/2}}"], 3,
@@ -263,6 +310,25 @@ def test_cli_exit_codes(args, code):
         assert res.stdout == "" and len(res.stderr.splitlines()) == 1
 
 
+def test_cli_command_prefix_is_read_like_batch(tmp_path):
+    # a dedicated command implies its keywords unless the text starts with
+    # them under the grammar's whitespace rule, and reports columns in the
+    # text as typed
+    texts = ["solve p:algebra W^{1-1/p,(2,1)}_p(JxSigma) ?",
+             "algebra W^{1-1/p,(2,1)}_p(JxSigma) ?"]
+    src = tmp_path / "queries.txt"
+    src.write_text(f"{texts[0]}\nsolve p: {texts[1]}\n")
+    runner = CliRunner()
+    batch = runner.invoke(main, ["batch", str(src), "--machine"])
+    commands = [runner.invoke(main, ["solve-p", text, "--machine"])
+                for text in texts]
+    assert "".join(res.stdout for res in commands) == batch.stdout
+    res = runner.invoke(main, ["index", "H^{2,(2,1)}_p(Unknown)"])
+    assert res.exit_code == 2
+    assert res.stderr == ("ParseError: unknown domain alias 'Unknown' "
+                          "(line 1, column 22)\n")
+
+
 def test_cli_seminorm_names_a_nonpositive_radius():
     # a zero radius used to surface as a math domain error from the
     # step-size range
@@ -279,41 +345,54 @@ def test_cli_seminorm_names_an_option_that_overflows_a_float(option):
     assert f"--{option} values must fit a float" in res.stderr
 
 
+_BAD_PRELUDES = [
+    ("Omega 3\n", "prelude lines read ALIAS = dims (line 1, column 1)"),
+    ("# aliases\nOmega = 3\n\nOmega = 1xq\n",
+     "bad dimension tuple '1xq' (line 4, column 1)"),
+    ("Gamma = 1x2\nSigma = 0\n", "bad dimension tuple '0' (line 2, column 1)"),
+    ("Gamma = 1x-2\n", "bad dimension tuple '1x-2' (line 1, column 1)"),
+]
+
+
 def test_cli_malformed_prelude_is_a_usage_error(tmp_path):
+    # the prelude is refused at load, naming its own line
     prelude = tmp_path / "prelude.txt"
-    prelude.write_text("Omega 3\n")
-    res = CliRunner().invoke(main, ["index", "--prelude", str(prelude), _H])
-    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
-    assert "prelude lines read ALIAS = dims" in res.stderr
+    for text, message in _BAD_PRELUDES:
+        prelude.write_text(text)
+        res = CliRunner().invoke(main, ["index", "--prelude", str(prelude), _H])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr == f"ParseError: {message}\n"
 
 
 _NUMBERS = ("0", "1", "2", "3", "oo", "1/0", "3/2")
 _CHARS = "0/p{}()[],_^-+*>?x ;"
 
 
-@st.composite
-def _mutated_golden_lines(draw):
+def _mutate(rng):
     """A golden line after one to three edits: a number replaced by a zero,
     small, infinite or improper value, or one character inserted, deleted
-    or replaced."""
-    line = draw(st.sampled_from(_corpus_lines()))
-    for _ in range(draw(st.integers(1, 3))):
+    or replaced, drawn from the ``random.Random`` ``rng``."""
+    line = rng.choice(_corpus_lines())
+    for _ in range(rng.randint(1, 3)):
         numbers = [m.span() for m in re.finditer(r"\d+", line)]
-        if numbers and draw(st.booleans()):
-            a, b = draw(st.sampled_from(numbers))
-            line = line[:a] + draw(st.sampled_from(_NUMBERS)) + line[b:]
+        if numbers and rng.choice((False, True)):
+            a, b = rng.choice(numbers)
+            line = line[:a] + rng.choice(_NUMBERS) + line[b:]
         else:
-            i = draw(st.integers(0, len(line)))
-            ch = draw(st.sampled_from(_CHARS))
-            line = draw(st.sampled_from((line[:i] + ch + line[i:],
-                                         line[:i] + line[i + 1:],
-                                         line[:i] + ch + line[i + 1:])))
+            i = rng.randint(0, len(line))
+            ch = rng.choice(_CHARS)
+            line = rng.choice((line[:i] + ch + line[i:],
+                               line[:i] + line[i + 1:],
+                               line[:i] + ch + line[i + 1:]))
     return line
+
+
+_mutated_golden_lines = st.randoms(use_true_random=False).map(_mutate)
 
 
 @seed(20261018)
 @settings(max_examples=300, deadline=None, database=None)
-@given(_mutated_golden_lines())
+@given(_mutated_golden_lines)
 def test_mutated_queries_report_or_refuse(text):
     try:
         run(parse_query(text))
@@ -404,3 +483,41 @@ def test_cli_app_usage_errors():
     runner = CliRunner()
     assert runner.invoke(main, ["app", "stefan", "--n", "1", "--solve-p"]).exit_code == 2
     assert runner.invoke(main, ["app", "stefan", "--n", "3", "--p", "x"]).exit_code == 2
+
+
+def _parse_outcome(text):
+    """The canonical echo of an accepted query, or its refusal."""
+    try:
+        return format_query(parse_query(text))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _outcome_inputs():
+    """The golden lines, then 2,000 seeded mutations of them."""
+    rng = random.Random(20261018)
+    return _corpus_lines() + [_mutate(rng) for _ in range(2000)]
+
+
+def test_parse_outcomes_are_pinned():
+    # which text parses, to what, and every refusal's message and position
+    got = "".join(_parse_outcome(text) + "\n" for text in _outcome_inputs())
+    assert got == (GOLDEN / "parse_outcomes.txt").read_text()
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_query, "solve p: solve p: algebra W^{1-1/p,(2,1)}_p(JxSigma) ?",
+     "nested solve prefixes (line 1, column 55)"),
+    (parse_space, "H^{0,(2,1)}_3(JxSigma; Lp(Rdot",
+     "unbalanced parentheses in value-space tag (line 1, column 31)"),
+    (parse_query, "index H^{2,(1)}_{2,3}(R^2)",
+     "only the Besov scale takes a micro-scale (line 1, column 20)"),
+    (parse_space, "B^{2,(1)}_2_{1/2}(R^2)",
+     "micro-scale reciprocal must lie in [0, 1] (line 1, column 23)"),
+    (parse_space, "H^{1,(1)}_2(R^2) ?",
+     "trailing input after the space (line 1, column 18)"),
+])
+def test_parse_errors_the_corpus_misses(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
