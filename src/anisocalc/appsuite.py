@@ -15,10 +15,11 @@ from functools import partial
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dsl import Query, decision_thunk
+from .dsl import (EXIT_COVERED, EXIT_NOT_COVERED, SCHEMA, Query,
+                  decision_thunk)
 from .embed import Decision
 from .psolver import ParamSet, solve_param
-from .ratcore import AffineExpr, ParamEnv, Rational, X
+from .ratcore import AffineExpr, ParamEnv, Rational, X, render_fraction
 from .spaces import SCALARS, Anisotropy, SpaceDescr, lp_valued
 
 # Unused here: the benchmark's traced run wraps these names in this module.
@@ -65,6 +66,33 @@ class TermResult:
             return None
         return self.param_set.same_region(self.check.expected)
 
+    def to_machine(self) -> dict:
+        chk = self.check
+        row: dict = {"name": chk.name, "term": chk.term_text, "kind": chk.kind,
+                     "governing": chk.governing, "anchor": chk.anchor}
+        if self.param_set is not None:
+            row.update(param_set=self.param_set.to_machine(),
+                       expected=chk.expected.to_machine(),
+                       matches_expected=self.matches_expected)
+        if self.decision is not None:
+            row["verdict"] = self.decision.verdict.value
+            fail = self.decision.first_failure()
+            if fail is not None:
+                row["first_failure"] = {"label": fail.label,
+                                        "anchor": fail.anchor}
+        return row
+
+    def to_text(self) -> str:
+        head = f"  {self.check.name} ({self.check.term_text}): "
+        if self.param_set is not None:
+            mark = "ok" if self.matches_expected else "MISMATCH"
+            return (f"{head}p in {self.param_set.describe_p()} "
+                    f"[{self.check.governing}] {mark}")
+        fail = self.decision.first_failure()
+        return head + self.decision.verdict.value + (
+            "" if fail is None
+            else f" (first failed: {fail.label} [{fail.anchor}])")
+
 
 @dataclass
 class SuiteReport:
@@ -86,6 +114,45 @@ class SuiteReport:
     def all_covered(self) -> bool:
         return all(t.decision is not None and t.decision.covered
                    for t in self.terms)
+
+    @property
+    def exit_code(self) -> int:
+        """0 when the solved range after the exclusions is nonempty, or
+        when every term is covered at the given p; 1 otherwise."""
+        holds = self.all_covered if self.p is not None else \
+            not self.final.is_empty
+        return EXIT_COVERED if holds else EXIT_NOT_COVERED
+
+    def to_machine(self) -> dict:
+        out = {
+            "schema": SCHEMA,
+            "kind": f"app.{self.problem}",
+            "n": self.n,
+            "p": None if self.p is None else render_fraction(Fraction(self.p)),
+            "facts": [{"quantity": f.quantity, "space": str(f.space),
+                       "anchor": f.anchor} for f in self.facts],
+            "terms": [t.to_machine() for t in self.terms],
+            "exclusions": [{"p": render_fraction(q), "anchor": a}
+                           for q, a in self.exclusions],
+            "footnotes": list(self.footnotes),
+        }
+        if self.intersection is not None:
+            out["intersection"] = self.intersection.to_machine()
+            out["final"] = self.final.to_machine()
+        return out
+
+    def to_text(self) -> str:
+        lines = [f"checklist: {self.problem} (n = {self.n})", "facts:",
+                 *(f"  {f.quantity}: {f.space} [{f.anchor}]"
+                   for f in self.facts), "terms:",
+                 *(t.to_text() for t in self.terms)]
+        if self.intersection is not None:
+            lines.append(f"intersection: p in {self.intersection.describe_p()}")
+            lines.append(f"after exclusions: p in {self.final.describe_p()}")
+        lines.append("exclusions: " + ", ".join(
+            f"p = {render_fraction(q)} [{a}]" for q, a in self.exclusions))
+        lines += (f"note: {note}" for note in self.footnotes)
+        return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -197,11 +264,9 @@ def _run_suite(problem: str, n: int, p: Rational | None,
         raise ValueError("the checklists are stated for n >= 2")
     if p is not None and p <= 0:
         raise ValueError("the integrability exponent must be positive")
-    results: list[TermResult] = []
     if p is None:
-        for chk in checks:
-            results.append(TermResult(
-                chk, param_set=solve_param(decision_thunk(chk.query(X)))))
+        results = [TermResult(chk, param_set=solve_param(
+            decision_thunk(chk.query(X)))) for chk in checks]
         inter = ParamSet.unit_interval()
         for res in results:
             inter = inter.intersect(res.param_set)
@@ -209,9 +274,8 @@ def _run_suite(problem: str, n: int, p: Rational | None,
             [(Fraction(1, 1) / q, "app.exclusions") for q in exclusions])
     else:
         x = AffineExpr.of(Fraction(1, 1) / Fraction(p))
-        for chk in checks:
-            decide = decision_thunk(chk.query(x))
-            results.append(TermResult(chk, decision=decide(ParamEnv.concrete())))
+        results = [TermResult(chk, decision=decision_thunk(chk.query(x))(
+            ParamEnv.concrete())) for chk in checks]
         inter = final = None
     excl = tuple((q, "app.exclusions") for q in exclusions)
     return SuiteReport(problem, n, p, facts, results, inter, final, excl,

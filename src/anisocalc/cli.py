@@ -1,14 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: one argparse command table.
 
-Exit codes: 0 covered/success, 1 not covered (or empty solved range),
-2 usage or parse error, 3 violated hypothesis or unsupported operation.
-An error reaches the user as one line on stderr; ``dsl.exit_code`` picks
-its code.
+Each query command reads one query of the kind it is named after and
+implies its keywords: ``anisocalc index 'H^{1,(1)}_2(R^2)'`` reads like the
+batch line ``index H^{1,(1)}_2(R^2)``.  Exit codes: 0 covered/success,
+1 not covered (or empty solved range), 2 usage or parse error (a missing
+file too), 3 violated hypothesis or unsupported operation.  An error is
+one line on stderr with the code ``dsl.exit_code`` picks; a malformed
+command line exits 2 with argparse's usage text.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import sys
@@ -16,23 +19,33 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import click
-
 from . import appsuite, dsl
 from .lemmas import (MinimizationInput, RealizationInput, minimize_phi,
                      realize_exponents)
 from .ratcore import render_fraction
 
+# Query command -> the keywords it implies, and its help.  The command's
+# name is the only query kind it accepts.
+QUERY_COMMANDS = {
+    "index": ("index ", "Regularity index of a space."),
+    "embed": ("", "Embedding query: 'A -> B ?'."),
+    "mult": ("", "Multiplication query: 'A * B -> C ?'."),
+    "multiplier": ("multiplier: ",
+                   "Multiplier query (one factor equals the target)."),
+    "algebra": ("algebra ", "Multiplication-algebra query."),
+    "nemytskij": ("nemytskij: ",
+                  "Analytic superposition gate: 'A * B -> C ?'."),
+    "solve-p": ("solve p: ", "Exact admissible p-range of a decision query."),
+    "interp": ("", "Interpolation: '[A, B]_{1/2}' or '(A, B)_{1/2, q}'."),
+}
 
-def _load_prelude(path: str | None) -> dict[str, tuple[int, ...]]:
-    if path is None:
-        return dict(dsl.DEFAULT_PRELUDE)
-    return dsl.parse_prelude(Path(path).read_text())
+
+def _load_prelude(path: str | None) -> dict[str, tuple[int, ...]] | None:
+    return None if path is None else dsl.parse_prelude(Path(path).read_text())
 
 
 def _rational(text: str) -> Fraction:
-    """One rational option value; a zero denominator is malformed text
-    like any other."""
+    """One rational option value; a zero denominator is malformed text."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -61,302 +74,224 @@ def _per(option: str, text: str, unit: str, n: int) -> tuple[float, ...]:
     return vals * n if len(vals) == 1 else vals
 
 
+def _emit(result, machine: bool, **text_options) -> int:
+    """Print a ``dsl.Report`` or ``appsuite.SuiteReport``; its exit code.
+    Each is flushed, so ``batch`` output keeps its order with stderr."""
+    print(json.dumps(result.to_machine(), sort_keys=True) if machine
+          else result.to_text(**text_options), flush=True)
+    return result.exit_code
+
+
 def _refuse(exc: Exception) -> int:
     """Name the error on stderr and return its exit code."""
     code = dsl.exit_code(exc)
-    click.echo(f"{type(exc).__name__}: {exc}", err=True)
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return code
 
 
-def _refusing(command):
-    """A command body whose errors exit with their mapped code."""
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except Exception as exc:
-            sys.exit(_refuse(exc))
-    return run
+def _query(args: argparse.Namespace) -> int:
+    prelude = _load_prelude(args.prelude)
+    t0 = time.perf_counter()
+    text = " ".join(args.query)
+    query = dsl.parse_query(text, prelude, QUERY_COMMANDS[args.command][0])
+    if query.kind != args.command:
+        raise dsl.ParseError(f"expected a query of kind {args.command!r}, "
+                             f"got {query.kind!r}", text, 0)
+    report = dsl.run(query)
+    report.timing_ms = (time.perf_counter() - t0) * 1e3
+    return _emit(report, args.machine, explain=args.explain)
 
 
-def _evaluate(text: str, prelude,
-              prefix: str = "") -> tuple[dsl.Report | None, int]:
-    """parse -> run -> exit code; a refused query has no report."""
-    try:
-        report = dsl.run(dsl.parse_query(text, prelude, prefix))
-    except Exception as exc:
-        return None, _refuse(exc)
-    return report, report.exit_code
-
-
-def _emit(report: dsl.Report, machine: bool, explain: bool,
-          timing: float | None = None) -> None:
-    if machine:
-        click.echo(report.to_json())
-    else:
-        if timing is not None:
-            report.timing_ms = timing
-        click.echo(report.to_text(explain=explain))
-
-
-_common = [
-    click.option("--prelude", "prelude_path", type=click.Path(exists=True),
-                 default=None, help="alias bindings file (ALIAS = dims)"),
-    click.option("--machine", is_flag=True, help="one JSON document per query"),
-    click.option("--explain", is_flag=True,
-                 help="append the rulebook text of every anchor"),
-]
-
-
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-def main() -> None:
-    """Exact decision engine for anisotropic function-space calculus."""
-
-
-def _query_command(name: str, prefix: str, help_text: str):
-    @main.command(name=name, help=help_text)
-    @click.argument("query", nargs=-1, required=True)
-    @_with_common
-    @_refusing
-    def _cmd(query: tuple[str, ...], prelude_path, machine, explain):
-        prelude = _load_prelude(prelude_path)
-        t0 = time.perf_counter()
-        report, code = _evaluate(" ".join(query), prelude, prefix)
-        if report is not None:
-            _emit(report, machine, explain, (time.perf_counter() - t0) * 1e3)
-        sys.exit(code)
-    return _cmd
-
-
-_query_command("index", "index ", "Regularity index of a space.")
-_query_command("embed", "", "Embedding query: 'A -> B ?'.")
-_query_command("mult", "", "Multiplication query: 'A * B -> C ?'.")
-_query_command("multiplier", "multiplier: ",
-               "Multiplier query (one factor equals the target).")
-_query_command("algebra", "algebra ", "Multiplication-algebra query.")
-_query_command("nemytskij", "nemytskij: ",
-               "Analytic superposition gate: 'A * B -> C ?'.")
-_query_command("solve-p", "solve p: ",
-               "Exact admissible p-range of a decision query.")
-_query_command("interp", "", "Interpolation: '[A, B]_{1/2}' or '(A, B)_{1/2, q}'.")
-
-
-@main.command(name="batch", help="Evaluate a query file (one query per line, "
-              "'#' comments); a refused line fails only itself.")
-@click.argument("path", type=click.Path(exists=True))
-@_with_common
-@_refusing
-def batch(path: str, prelude_path, machine, explain) -> None:
-    prelude = _load_prelude(prelude_path)
+def _batch(args: argparse.Namespace) -> int:
+    prelude = _load_prelude(args.prelude)
     worst = 0
-    for line in Path(path).read_text().splitlines():
+    for line in Path(args.path).read_text().splitlines():
         text = line.strip()
         if text and not text.startswith("#"):
-            report, code = _evaluate(text, prelude)
-            if report is not None:
-                _emit(report, machine, explain)
+            try:
+                report = dsl.run(dsl.parse_query(text, prelude))
+            except Exception as exc:
+                code = _refuse(exc)
+            else:
+                code = _emit(report, args.machine, explain=args.explain)
             worst = max(worst, code)
-    sys.exit(worst)
+    return worst
 
 
-@main.command(name="realize", help="Split a feasible target sum into "
-              "per-factor exponents.")
-@click.option("--sigma", required=True, help="comma-separated caps, e.g. 1/2,2")
-@click.option("--pi", "pi_", required=True, help="comma-separated reciprocals")
-@click.option("--rho", required=True, help="target sum")
-@click.option("--machine", is_flag=True)
-@_refusing
-def realize(sigma: str, pi_: str, rho: str, machine: bool) -> None:
-    out = realize_exponents(RealizationInput(
-        _rationals(sigma), _rationals(pi_), _rational(rho)))
-    if machine:
-        click.echo(json.dumps({"schema": dsl.SCHEMA, "kind": "realize",
-                               "rho_j": [render_fraction(v) for v in out]}))
-    else:
-        click.echo("rho_j = " + ", ".join(render_fraction(v) for v in out))
-    sys.exit(0)
+def _realize(args: argparse.Namespace) -> int:
+    out = [render_fraction(v) for v in realize_exponents(RealizationInput(
+        _rationals(args.sigma), _rationals(args.pi), _rational(args.rho)))]
+    print(json.dumps({"schema": dsl.SCHEMA, "kind": "realize", "rho_j": out})
+          if args.machine else "rho_j = " + ", ".join(out))
+    return 0
 
 
-@main.command(name="minimize", help="Minimum of the piecewise-linear "
-              "composition functional.")
-@click.option("--sigma", required=True)
-@click.option("--pi", "pi_", required=True)
-@click.option("--order", "n", required=True, type=int)
-@click.option("--machine", is_flag=True)
-@_refusing
-def minimize(sigma: str, pi_: str, n: int, machine: bool) -> None:
+def _minimize(args: argparse.Namespace) -> int:
     val, rule = minimize_phi(MinimizationInput(
-        _rationals(sigma), _rationals(pi_), n))
-    if machine:
-        click.echo(json.dumps({
-            "schema": dsl.SCHEMA, "kind": "minimize",
-            "phi_min": render_fraction(val), "case": rule.case,
-            "mu": render_fraction(rule.mu),
-            "argmin_sets": {"plus": sorted(rule.m_plus),
-                            "zero": sorted(rule.m_zero),
-                            "minus": sorted(rule.m_minus),
-                            "star": sorted(rule.m_star)}}))
-    else:
-        click.echo(f"phi_min = {render_fraction(val)} (case: {rule.case}, "
-                   f"mu = {render_fraction(rule.mu)})")
-    sys.exit(0)
+        _rationals(args.sigma), _rationals(args.pi), args.order))
+    print(json.dumps({
+        "schema": dsl.SCHEMA, "kind": "minimize",
+        "phi_min": render_fraction(val), "case": rule.case,
+        "mu": render_fraction(rule.mu),
+        "argmin_sets": {"plus": sorted(rule.m_plus),
+                        "zero": sorted(rule.m_zero),
+                        "minus": sorted(rule.m_minus),
+                        "star": sorted(rule.m_star)}}) if args.machine
+          else f"phi_min = {render_fraction(val)} (case: {rule.case}, "
+               f"mu = {render_fraction(rule.mu)})")
+    return 0
 
 
-@main.command(name="seminorm", help="Difference-quotient seminorm of a "
-              "Gaussian test function.")
-@click.option("--space", "space_text", required=True,
-              help="a concrete W or B space, e.g. 'W^{1/2,(1)}_2(R^1)'")
-@click.option("--sigma", default="1",
-              help="comma-separated Gaussian widths, one per axis")
-@click.option("--freq", default=None,
-              help="comma-separated modulation frequencies")
-@click.option("--spacing", default=None,
-              help="comma-separated grid spacings, one per slice")
-@click.option("--radius", type=float, default=None, help="grid half-width")
-@click.option("--dilations", default=None,
-              help="comma-separated dilation parameters for a scaling table")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="write the (lambda, seminorm) table as CSV")
-@click.option("--prelude", "prelude_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--machine", is_flag=True)
-@_refusing
-def seminorm(space_text, sigma, freq, spacing, radius, dilations, csv_path,
-             prelude_path, machine) -> None:
+def _seminorm(args: argparse.Namespace) -> int:
     from . import normlab  # numpy loads only for this command
 
-    space = dsl.parse_space(space_text, _load_prelude(prelude_path))
+    space = dsl.parse_space(args.space, _load_prelude(args.prelude))
     dims = tuple(space.aniso.dims)
-    sigmas = _per("sigma", sigma, "axis", sum(dims))
-    freqs = None if freq is None else _per("freq", freq, "axis", sum(dims))
+    sigmas = _per("sigma", args.sigma, "axis", sum(dims))
+    freqs = None if args.freq is None else \
+        _per("freq", args.freq, "axis", sum(dims))
     spec = normlab.GaussianSpec(sigmas, freqs)
-    radius = radius if radius is not None else 10.0 * max(sigmas)
-    spacings = tuple(min(sigmas) / 25 for _ in dims) if spacing is None \
-        else _per("spacing", spacing, "slice", len(dims))
+    radius = args.radius if args.radius is not None else 10.0 * max(sigmas)
+    spacings = tuple(min(sigmas) / 25 for _ in dims) if args.spacing is None \
+        else _per("spacing", args.spacing, "slice", len(dims))
     if min(sigmas) <= 0 or min(spacings) <= 0 or not 0 < radius < math.inf:
         raise ValueError("Gaussian widths, grid spacings and the grid radius "
                          "must be positive and finite")
-    lams = (1.0,) if dilations is None else _floats("dilations", dilations)
+    lams = (1.0,) if args.dilations is None else \
+        _floats("dilations", args.dilations)
     if min(lams) <= 0:
         raise ValueError("dilation parameters must be positive")
     rows = normlab.dilated_seminorms(space, spec, lams, spacings, radius)
 
-    if dilations is None:
+    if args.dilations is None:
         value = rows[0][1]
-        if machine:
-            click.echo(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm",
-                                   "space": str(space), "value": value}))
-        else:
-            click.echo(f"seminorm = {value:.6g}")
+        print(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm",
+                          "space": str(space), "value": value})
+              if args.machine else f"seminorm = {value:.6g}")
+        return 0
+    table = "lambda,seminorm\n" + "\n".join(
+        f"{lam},{val:.12g}" for lam, val in rows)
+    if args.csv is not None:
+        Path(args.csv).write_text(table + "\n")
+        print(f"wrote {args.csv}")
+    elif args.machine:
+        print(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm-scaling",
+                          "space": str(space), "rows": rows}))
     else:
-        table = "lambda,seminorm\n" + "\n".join(
-            f"{lam},{val:.12g}" for lam, val in rows)
-        if csv_path is not None:
-            Path(csv_path).write_text(table + "\n")
-            click.echo(f"wrote {csv_path}")
-        elif machine:
-            click.echo(json.dumps({"schema": dsl.SCHEMA,
-                                   "kind": "seminorm-scaling",
-                                   "space": str(space), "rows": rows}))
-        else:
-            click.echo(table)
-    sys.exit(0)
+        print(table)
+    return 0
 
 
-@main.command(name="app", help="Run a built-in application checklist.")
-@click.argument("problem", type=click.Choice(["stefan", "nvs"]))
-@click.option("--n", "n", type=int, required=True, help="space dimension")
-@click.option("--p", "p_text", default=None,
-              help="concrete integrability exponent (rational)")
-@click.option("--solve-p", "solve_p", is_flag=True,
-              help="solve every term symbolically (default when --p absent)")
-@click.option("--machine", is_flag=True)
-@_refusing
-def app(problem: str, n: int, p_text: str | None, solve_p: bool,
-        machine: bool) -> None:
-    p = None if (solve_p or p_text is None) else _rational(p_text)
-    report = (appsuite.run_stefan if problem == "stefan"
-              else appsuite.run_nvs)(n, p)
-    if machine:
-        click.echo(json.dumps(_suite_machine(report), sort_keys=True))
-    else:
-        click.echo(_suite_text(report))
-    if p is None:
-        sys.exit(dsl.EXIT_COVERED if report.final is not None
-                 and not report.final.is_empty else dsl.EXIT_NOT_COVERED)
-    sys.exit(dsl.EXIT_COVERED if report.all_covered else dsl.EXIT_NOT_COVERED)
+def _app(args: argparse.Namespace) -> int:
+    p = None if (args.solve_p or args.p is None) else _rational(args.p)
+    run = appsuite.run_stefan if args.problem == "stefan" else appsuite.run_nvs
+    return _emit(run(args.n, p), args.machine)
 
 
-def _suite_machine(report: appsuite.SuiteReport) -> dict:
-    terms = []
-    for res in report.terms:
-        row: dict = {"name": res.check.name, "term": res.check.term_text,
-                     "kind": res.check.kind,
-                     "governing": res.check.governing,
-                     "anchor": res.check.anchor}
-        if res.param_set is not None:
-            row["param_set"] = res.param_set.to_machine()
-            row["expected"] = res.check.expected.to_machine()
-            row["matches_expected"] = res.matches_expected
-        if res.decision is not None:
-            row["verdict"] = res.decision.verdict.value
-            fail = res.decision.first_failure()
-            if fail is not None:
-                row["first_failure"] = {"label": fail.label,
-                                        "anchor": fail.anchor}
-        terms.append(row)
-    out = {
-        "schema": dsl.SCHEMA,
-        "kind": f"app.{report.problem}",
-        "n": report.n,
-        "p": None if report.p is None else render_fraction(Fraction(report.p)),
-        "facts": [{"quantity": f.quantity, "space": str(f.space),
-                   "anchor": f.anchor} for f in report.facts],
-        "terms": terms,
-        "exclusions": [{"p": render_fraction(q), "anchor": a}
-                       for q, a in report.exclusions],
-        "footnotes": list(report.footnotes),
-    }
-    if report.intersection is not None:
-        out["intersection"] = report.intersection.to_machine()
-        out["final"] = report.final.to_machine()
+_PRELUDE = ("--prelude", dict(metavar="FILE",
+                              help="alias bindings file (ALIAS = dims)"))
+_MACHINE = ("--machine", dict(action="store_true",
+                              help="one JSON document per result"))
+_QUERY_OPTIONS = (_PRELUDE, _MACHINE, ("--explain", dict(
+    action="store_true", help="append the rulebook text of every anchor")))
+
+# command -> (handler, help, arguments)
+COMMANDS = {
+    **{name: (_query, help_text, [("query", dict(
+        nargs="+", metavar="QUERY",
+        help="the query text; separate words are joined by spaces")),
+        *_QUERY_OPTIONS]) for name, (_, help_text) in QUERY_COMMANDS.items()},
+    "batch": (_batch, "Evaluate a query file (one query per line, '#' "
+              "comments); a refused line fails only itself.",
+              [("path", dict(metavar="PATH")), *_QUERY_OPTIONS]),
+    "realize": (_realize, "Split a feasible target sum into per-factor "
+                "exponents.", [
+                    ("--sigma", dict(required=True, help="comma-separated "
+                                     "caps, e.g. 1/2,2")),
+                    ("--pi", dict(required=True,
+                                  help="comma-separated reciprocals")),
+                    ("--rho", dict(required=True, help="target sum")),
+                    _MACHINE]),
+    "minimize": (_minimize, "Minimum of the piecewise-linear composition "
+                 "functional.", [("--sigma", dict(required=True)),
+                                 ("--pi", dict(required=True)),
+                                 ("--order", dict(type=int, required=True)),
+                                 _MACHINE]),
+    "seminorm": (_seminorm, "Difference-quotient seminorm of a Gaussian "
+                 "test function.", [
+                     ("--space", dict(required=True, help="a concrete W or B "
+                                      "space, e.g. 'W^{1/2,(1)}_2(R^1)'")),
+                     ("--sigma", dict(default="1", help="comma-separated "
+                                      "Gaussian widths, one per axis")),
+                     ("--freq", dict(help="comma-separated modulation "
+                                     "frequencies")),
+                     ("--spacing", dict(help="comma-separated grid "
+                                        "spacings, one per slice")),
+                     ("--radius", dict(type=float, help="grid half-width")),
+                     ("--dilations", dict(help="comma-separated dilation "
+                                          "parameters for a scaling table")),
+                     ("--csv", dict(metavar="PATH", help="write the (lambda, "
+                                    "seminorm) table as CSV")),
+                     _PRELUDE, _MACHINE]),
+    "app": (_app, "Run a built-in application checklist.", [
+        ("problem", dict(choices=["stefan", "nvs"])),
+        ("--n", dict(type=int, required=True, help="space dimension")),
+        ("--p", dict(help="concrete integrability exponent (rational)")),
+        ("--solve-p", dict(action="store_true", help="solve every term "
+                           "symbolically (default when --p absent)")),
+        _MACHINE]),
+}
+
+# The word after an option that takes a value is that value, even when it
+# starts with '-' (``--freq -1/2,1``): main glues the two before parsing.
+_VALUED = {flag for _, _, arguments in COMMANDS.values()
+           for flag, spec in arguments
+           if flag.startswith("--") and "action" not in spec}
+
+
+def _parser() -> argparse.ArgumentParser:
+    """Every command; a parser reads only whole option names."""
+    parser = argparse.ArgumentParser(
+        prog="anisocalc", allow_abbrev=False, description="Exact decision "
+        "engine for anisotropic function-space calculus.")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    for name, (run, help_text, arguments) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text, description=help_text,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for flag, spec in arguments:
+            sub.add_argument(flag, **spec)
+    return parser
+
+
+def _glued(argv: list[str]) -> list[str]:
+    """``argv`` with each valued option before ``--`` as ``--opt=value``."""
+    out, words = [], iter(argv)
+    for word in words:
+        if word == "--":
+            return [*out, word, *words]
+        value = next(words, None) if word in _VALUED else None
+        out.append(word if value is None else f"{word}={value}")
     return out
 
 
-def _suite_text(report: appsuite.SuiteReport) -> str:
-    lines = [f"checklist: {report.problem} (n = {report.n})"]
-    lines.append("facts:")
-    for f in report.facts:
-        lines.append(f"  {f.quantity}: {f.space} [{f.anchor}]")
-    lines.append("terms:")
-    for res in report.terms:
-        if res.param_set is not None:
-            mark = "ok" if res.matches_expected else "MISMATCH"
-            lines.append(f"  {res.check.name} ({res.check.term_text}): "
-                         f"p in {res.param_set.describe_p()} "
-                         f"[{res.check.governing}] {mark}")
-        else:
-            v = res.decision.verdict.value
-            line = f"  {res.check.name} ({res.check.term_text}): {v}"
-            fail = res.decision.first_failure()
-            if fail is not None:
-                line += f" (first failed: {fail.label} [{fail.anchor}])"
-            lines.append(line)
-    if report.intersection is not None:
-        lines.append(f"intersection: p in {report.intersection.describe_p()}")
-        lines.append(f"after exclusions: p in {report.final.describe_p()}")
-    lines.append("exclusions: " + ", ".join(
-        f"p = {render_fraction(q)} [{a}]" for q, a in report.exclusions))
-    for note in report.footnotes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines)
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); its exit code."""
+    parser = _parser()
+    args, extra = parser.parse_known_args(
+        _glued(sys.argv[1:] if argv is None else argv))
+    if args.command in QUERY_COMMANDS:
+        # query words an option splits are one query
+        args.query += [w for w in extra if not w.startswith("-")]
+        extra = [w for w in extra if w.startswith("-")]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        return args.run(args)
+    except Exception as exc:
+        return _refuse(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(main())

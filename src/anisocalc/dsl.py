@@ -499,9 +499,9 @@ EXIT_HYPOTHESIS = 3
 
 def exit_code(exc: Exception) -> int:
     """Exit code of a refused query or command: 2 for malformed text or
-    option values, 3 for every other engine error.  Any other exception is
-    a bug and propagates."""
-    if isinstance(exc, (ParseError, ValueError)):
+    option values or a file that cannot be read or written, 3 for every
+    other engine error.  Any other exception is a bug and propagates."""
+    if isinstance(exc, (ParseError, ValueError, OSError)):
         return EXIT_USAGE
     if isinstance(exc, EngineError):
         return EXIT_HYPOTHESIS

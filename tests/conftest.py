@@ -1,7 +1,10 @@
-"""Shared random generators for descriptor-level property tests."""
+"""Shared random generators for descriptor-level property tests, and the
+in-process command-line runner."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -9,7 +12,21 @@ import pytest
 
 from anisocalc import (Anisotropy, MultInstance, Scale, SpaceDescr,
                        normalize)
+from anisocalc.cli import main
 from anisocalc.errors import NotIdentifiable
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """``anisocalc *argv`` in this process: its exit code, stdout and
+    stderr.  Only ``SystemExit`` is caught, so any other exception fails
+    the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from anisocalc import ParamSet
 from anisocalc.appsuite import run_nvs, run_stefan
-from anisocalc.cli import main
+
+from conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,9 +114,9 @@ def _app_transcript() -> str:
             for mode in (["--solve-p"], ["--p", "3"]):
                 for out in ([], ["--machine"]):
                     args = ["app", problem, "--n", n, *mode, *out]
-                    res = CliRunner().invoke(main, args)
+                    code, stdout, _ = run_cli(args)
                     blocks.append(f"$ anisocalc {' '.join(args)}\n"
-                                  f"[exit {res.exit_code}]\n{res.stdout}")
+                                  f"[exit {code}]\n{stdout}")
     return "".join(blocks)
 
 

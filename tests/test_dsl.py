@@ -5,22 +5,23 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import anisocalc
 from anisocalc import AffineExpr, Scale, X, dsl
-from anisocalc.cli import main
 from anisocalc.dsl import (ParseError, format_query, parse_prelude,
                            parse_query, parse_space, run)
 from anisocalc.errors import EngineError
+
+from conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -226,7 +227,7 @@ _H = "H^{1,(1)}_2(R^2)"
 _W = "W^{1/2,(1)}_2(R^1)"
 
 
-@pytest.mark.parametrize("args, code", [
+_EXIT_CASES = [
     pytest.param(["algebra", "W^{1-1/p,(2,1)}_6(JxSigma) ?"], 0, id="covered"),
     pytest.param(["algebra", "W^{1-1/p,(2,1)}_4(JxSigma) ?"], 1,
                  id="not-covered"),
@@ -300,14 +301,78 @@ _W = "W^{1/2,(1)}_2(R^1)"
                  id="seminorm-slice-dim"),
     pytest.param(["seminorm", "--space", "W^{1/2,(1,1,1,1)}_2(R^{1x1x1x1})"],
                  3, id="seminorm-grid-size"),
-])
+    # the word after a valued option is its value, even when it starts
+    # with '-'
+    pytest.param(["realize", "--sigma", "1/2,2", "--pi", "3/4,1/2", "--rho",
+                  "-1/4"], 2, id="realize-negative-rho"),
+    pytest.param(["seminorm", "--space", _W, "--freq", "-1/2", "--spacing",
+                  "1/10", "--radius", "5"], 0, id="seminorm-negative-freq"),
+]
+
+# each query command reads only its own kind, and a file named on the
+# command line must exist
+_WRONG_KIND_OR_MISSING_FILE = [
+    pytest.param(["interp", "algebra W^{1-1/p,(2,1)}_6(JxSigma) ?"], 2,
+                 id="interp-given-algebra"),
+    pytest.param(["mult", f"index {_H}"], 2, id="mult-given-index"),
+    pytest.param(["embed", f"{_H} * {_H} -> {_H} ?"], 2,
+                 id="embed-given-product"),
+    pytest.param(["mult", f"{_H} -> {_H} ?"], 2, id="mult-given-embedding"),
+    pytest.param(["batch", str(GOLDEN / "missing.txt")], 2,
+                 id="batch-missing-file"),
+    pytest.param(["index", "--prelude", str(GOLDEN / "missing.txt"), _H], 2,
+                 id="prelude-missing-file"),
+]
+
+
+@pytest.mark.parametrize("args, code",
+                         _EXIT_CASES + _WRONG_KIND_OR_MISSING_FILE)
 def test_cli_exit_codes(args, code):
     # a refusal is one line on stderr, never a traceback (exit 1)
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == code
-    assert res.exception is None or isinstance(res.exception, SystemExit)
+    exit_code, stdout, stderr = run_cli(args)
+    assert exit_code == code
     if code >= 2:
-        assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+        assert stdout == "" and len(stderr.splitlines()) == 1
+
+
+# option values the app checklists refuse, each with one stderr line
+_APP_REFUSALS = [["app", "stefan", "--n", "1", "--solve-p"],
+                 ["app", "stefan", "--n", "3", "--p", "x"]]
+
+
+def _pinned_argvs():
+    """Each query command on the first golden line of its kind, batch,
+    realize and minimize, query words split by an option, and the
+    refusals above (seminorm aside: its numbers come from numpy)."""
+    first_of_kind = {}
+    for line in _corpus_lines():
+        first_of_kind.setdefault(parse_query(line).kind, line)
+    lemmas = [["realize", "--sigma", "1/2,2", "--pi", "3/4,1/2",
+               "--rho", "3/4"],
+              ["minimize", "--sigma", "3,1", "--pi", "1,2", "--order", "2"]]
+    return [
+        *([command, first_of_kind[command], "--machine"] for command in
+          ("index", "embed", "mult", "multiplier", "algebra", "nemytskij",
+           "solve-p", "interp")),
+        ["batch", "tests/golden/queries.txt", "--machine"],
+        *lemmas, *([*argv, "--machine"] for argv in lemmas),
+        ["index", "H^{1,(1)}_2", "--machine", "(R^2)"],
+        *_APP_REFUSALS,
+        *(case.values[0] for case in _EXIT_CASES
+          if case.values[1] >= 2 and case.values[0][0] != "seminorm"),
+    ]
+
+
+def test_cli_transcript_is_pinned(monkeypatch):
+    # argv, exit code, stdout and stderr of each pinned invocation, run
+    # from the root of the checkout
+    monkeypatch.chdir(GOLDEN.parents[1])
+    blocks = []
+    for argv in _pinned_argvs():
+        code, stdout, stderr = run_cli(argv)
+        blocks.append(f"$ anisocalc {shlex.join(argv)}\n[exit {code}]\n"
+                      f"{stdout}[stderr]\n{stderr}")
+    assert "".join(blocks) == (GOLDEN / "cli.txt").read_text()
 
 
 def test_cli_command_prefix_is_read_like_batch(tmp_path):
@@ -318,31 +383,28 @@ def test_cli_command_prefix_is_read_like_batch(tmp_path):
              "algebra W^{1-1/p,(2,1)}_p(JxSigma) ?"]
     src = tmp_path / "queries.txt"
     src.write_text(f"{texts[0]}\nsolve p: {texts[1]}\n")
-    runner = CliRunner()
-    batch = runner.invoke(main, ["batch", str(src), "--machine"])
-    commands = [runner.invoke(main, ["solve-p", text, "--machine"])
-                for text in texts]
-    assert "".join(res.stdout for res in commands) == batch.stdout
-    res = runner.invoke(main, ["index", "H^{2,(2,1)}_p(Unknown)"])
-    assert res.exit_code == 2
-    assert res.stderr == ("ParseError: unknown domain alias 'Unknown' "
-                          "(line 1, column 22)\n")
+    _, batch, _ = run_cli(["batch", str(src), "--machine"])
+    commands = [run_cli(["solve-p", text, "--machine"]) for text in texts]
+    assert "".join(stdout for _, stdout, _ in commands) == batch
+    assert run_cli(["index", "H^{2,(2,1)}_p(Unknown)"]) == (
+        2, "", "ParseError: unknown domain alias 'Unknown' "
+        "(line 1, column 22)\n")
 
 
 def test_cli_seminorm_names_a_nonpositive_radius():
     # a zero radius used to surface as a math domain error from the
     # step-size range
-    res = CliRunner().invoke(main, ["seminorm", "--space", _W, "--radius", "0"])
-    assert res.exit_code == 2
-    assert "grid radius must be positive" in res.stderr
+    code, _, stderr = run_cli(["seminorm", "--space", _W, "--radius", "0"])
+    assert code == 2
+    assert "grid radius must be positive" in stderr
 
 
 @pytest.mark.parametrize("option", ["sigma", "freq", "dilations"])
 def test_cli_seminorm_names_an_option_that_overflows_a_float(option):
-    res = CliRunner().invoke(main, ["seminorm", "--space", _W,
-                                    f"--{option}", "1e400"])
-    assert res.exit_code == 2
-    assert f"--{option} values must fit a float" in res.stderr
+    code, _, stderr = run_cli(["seminorm", "--space", _W,
+                               f"--{option}", "1e400"])
+    assert code == 2
+    assert f"--{option} values must fit a float" in stderr
 
 
 _BAD_PRELUDES = [
@@ -359,9 +421,8 @@ def test_cli_malformed_prelude_is_a_usage_error(tmp_path):
     prelude = tmp_path / "prelude.txt"
     for text, message in _BAD_PRELUDES:
         prelude.write_text(text)
-        res = CliRunner().invoke(main, ["index", "--prelude", str(prelude), _H])
-        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
-        assert res.stderr == f"ParseError: {message}\n"
+        code, _, stderr = run_cli(["index", "--prelude", str(prelude), _H])
+        assert code == 2 and stderr == f"ParseError: {message}\n"
 
 
 _NUMBERS = ("0", "1", "2", "3", "oo", "1/0", "3/2")
@@ -398,19 +459,17 @@ def test_mutated_queries_report_or_refuse(text):
         run(parse_query(text))
     except EngineError:
         pass
-    res = CliRunner().invoke(main, ["embed", "--", text])
-    assert res.exit_code in (0, 1, 2, 3)
-    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert run_cli(["embed", "--", text])[0] in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("p", ["1", "oo"])
 def test_cli_lebesgue_source_endpoint_not_covered(p):
     # L^1 and L^oo are not zero-order Bessel-potential spaces: a failed
     # condition and exit 1, not a traceback
-    res = CliRunner().invoke(
-        main, ["embed", f"L^{{(1)}}_{p}(R^2) -> L^{{(1)}}_2(R^2) ?", "--machine"])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    doc = json.loads(res.stdout)
+    code, stdout, _ = run_cli(
+        ["embed", f"L^{{(1)}}_{p}(R^2) -> L^{{(1)}}_2(R^2) ?", "--machine"])
+    assert code == 1
+    doc = json.loads(stdout)
     assert doc["verdict"] == "NOT_COVERED"
     assert doc["first_failure"]["anchor"] == "space.zero-order"
 
@@ -419,18 +478,24 @@ def test_cli_batch_continues_after_lebesgue_endpoint_source(tmp_path):
     src = tmp_path / "queries.txt"
     src.write_text("L^{(1)}_1(R^2) -> L^{(1)}_2(R^2) ?\n"
                    "index H^{1,(1)}_2(R^2)\n")
-    res = CliRunner().invoke(main, ["batch", str(src), "--machine"])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    docs = [json.loads(ln) for ln in res.stdout.splitlines()]
+    code, stdout, _ = run_cli(["batch", str(src), "--machine"])
+    assert code == 1
+    docs = [json.loads(ln) for ln in stdout.splitlines()]
     assert [d["kind"] for d in docs] == ["embed", "index"]
     assert docs[0]["verdict"] == "NOT_COVERED"
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only the seminorm command needs the numeric lab
+    # only the seminorm command needs the numeric lab (numpy), and the
+    # command line is read by argparse: nothing outside the standard
+    # library is imported
     src = Path(anisocalc.__file__).parents[1]
-    code = ("import sys, anisocalc.cli\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import anisocalc.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "extra = new - set(sys.stdlib_module_names) - {'anisocalc'}\n"
+            "assert not extra, f'imported {sorted(extra)}'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
@@ -439,9 +504,8 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_cli_batch_preserves_order(tmp_path):
     src = tmp_path / "queries.txt"
     src.write_text("\n".join(["# comment", *_corpus_lines()]) + "\n")
-    runner = CliRunner()
-    res = runner.invoke(main, ["batch", str(src), "--machine"])
-    assert [json.loads(ln)["query"] for ln in res.output.splitlines()] == \
+    _, stdout, _ = run_cli(["batch", str(src), "--machine"])
+    assert [json.loads(ln)["query"] for ln in stdout.splitlines()] == \
         [format_query(parse_query(ln)) for ln in _corpus_lines()]
 
 
@@ -450,39 +514,47 @@ def test_cli_batch_isolates_a_malformed_line(tmp_path):
     src.write_text("index H^{1,(1)}_2(R^2)\n"
                    "index H^{1/0,(1)}_2(R^2)\n"
                    "algebra W^{1-1/p,(2,1)}_6(JxSigma) ?\n")
-    res = CliRunner().invoke(main, ["batch", str(src), "--machine"])
-    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
-    docs = [json.loads(ln) for ln in res.stdout.splitlines()]
+    code, stdout, stderr = run_cli(["batch", str(src), "--machine"])
+    assert code == 2
+    docs = [json.loads(ln) for ln in stdout.splitlines()]
     assert [d["kind"] for d in docs] == ["index", "algebra"]
-    assert res.stderr.startswith("ParseError: zero denominator")
+    assert stderr.startswith("ParseError: zero denominator")
 
 
 def test_cli_app_machine():
-    runner = CliRunner()
-    res = runner.invoke(main, ["app", "stefan", "--n", "3", "--solve-p",
+    code, stdout, _ = run_cli(["app", "stefan", "--n", "3", "--solve-p",
                                "--machine"])
-    assert res.exit_code == 0
-    doc = json.loads(res.output)
-    assert doc["intersection"]["p"] == "[5/2, oo)"
-    res2 = runner.invoke(main, ["app", "nvs", "--n", "3", "--p", "2"])
-    assert res2.exit_code == 1
+    assert code == 0
+    assert json.loads(stdout)["intersection"]["p"] == "[5/2, oo)"
+    assert run_cli(["app", "nvs", "--n", "3", "--p", "2"])[0] == 1
 
 
 def test_cli_realize_and_minimize():
-    runner = CliRunner()
-    r = runner.invoke(main, ["realize", "--sigma", "1/2,2", "--pi", "3/4,1/2",
-                             "--rho", "3/4"])
-    assert r.exit_code == 0 and "1/2, 1/4" in r.output
-    m = runner.invoke(main, ["minimize", "--sigma", "3,1", "--pi", "1,2",
-                             "--order", "2", "--machine"])
-    assert m.exit_code == 0
-    assert json.loads(m.output)["phi_min"] == "-3"
+    code, stdout, _ = run_cli(["realize", "--sigma", "1/2,2", "--pi",
+                               "3/4,1/2", "--rho", "3/4"])
+    assert code == 0 and "1/2, 1/4" in stdout
+    code, stdout, _ = run_cli(["minimize", "--sigma", "3,1", "--pi", "1,2",
+                               "--order", "2", "--machine"])
+    assert code == 0
+    assert json.loads(stdout)["phi_min"] == "-3"
 
 
-def test_cli_app_usage_errors():
-    runner = CliRunner()
-    assert runner.invoke(main, ["app", "stefan", "--n", "1", "--solve-p"]).exit_code == 2
-    assert runner.invoke(main, ["app", "stefan", "--n", "3", "--p", "x"]).exit_code == 2
+@pytest.mark.parametrize("args", [
+    pytest.param([], id="no-command"),
+    pytest.param(["bogus", _H], id="unknown-command"),
+    pytest.param(["index", "--mach", _H], id="abbreviated-option"),
+    pytest.param(["app", "stefan", "--n", "x"], id="app-n-not-an-integer"),
+    pytest.param(["app", "bogus", "--n", "2"], id="app-unknown-problem"),
+    pytest.param(["realize", "--sigma", "1/2,2", "--pi", "3/4,1/2"],
+                 id="realize-without-rho"),
+    pytest.param(_APP_REFUSALS[0], id="app-n-1"),
+    pytest.param(_APP_REFUSALS[1], id="app-p-not-rational"),
+])
+def test_cli_usage_errors(args):
+    # run_cli lets any exception but SystemExit through, so a traceback
+    # fails the test
+    code, stdout, _ = run_cli(args)
+    assert code == 2 and stdout == ""
 
 
 def _parse_outcome(text):

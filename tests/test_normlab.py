@@ -11,12 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import anisocalc
 from anisocalc import (SCALARS, MultInstance, SpaceDescr, isotropic,
                        parabolic)
-from anisocalc.cli import main
 from anisocalc.dsl import parse_space
 from anisocalc.errors import (ResolutionError, UncoveredInstance, Unsupported,
                               WrongScale)
@@ -25,6 +23,8 @@ from anisocalc.normlab import (GaussianSpec, GridFunction,
                                dilated_seminorms, dilation_scaling_exponent,
                                full_norm, seminorm_besov,
                                seminorm_slobodeckij)
+
+from conftest import run_cli
 
 ISO1 = isotropic(1)
 W12 = SpaceDescr.sobolev(F(1, 2), F(1, 2), ISO1, SCALARS, "R^1")
@@ -350,16 +350,16 @@ def test_cli_table_equals_library_fit():
     space = "W^{1/2,(2,1)}_2(R^{1x1})"
     opts = ["seminorm", "--space", space, "--sigma", "1", "--spacing", "1/10",
             "--radius", "5", "--machine"]
-    res = CliRunner().invoke(main, [*opts, "--dilations", "1/2,1,2"])
-    assert res.exit_code == 0, res.stderr
-    rows = [tuple(r) for r in json.loads(res.stdout)["rows"]]
+    code, stdout, stderr = run_cli([*opts, "--dilations", "1/2,1,2"])
+    assert code == 0, stderr
+    rows = [tuple(r) for r in json.loads(stdout)["rows"]]
     sp = SpaceDescr.sobolev(F(1, 2), F(1, 2), parabolic(1), SCALARS, "JxSigma")
     _, pts = dilation_scaling_exponent(sp, GaussianSpec((1.0, 1.0)),
                                        [0.5, 1.0, 2.0], (0.1, 0.1), 5.0)
     assert rows == pts
-    res = CliRunner().invoke(main, opts)
-    assert res.exit_code == 0, res.stderr
-    assert json.loads(res.stdout)["value"] == pts[1][1]
+    code, stdout, stderr = run_cli(opts)
+    assert code == 0, stderr
+    assert json.loads(stdout)["value"] == pts[1][1]
 
 
 def test_hoelder_probe():
