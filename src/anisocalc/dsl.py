@@ -32,7 +32,7 @@ from .multiply import (MultInstance, decide_algebra_in,
                        decide_multiplication_in, decide_multiplier_in)
 from .nemytskij import AnalyticSpec, ConstantsLedger, decide_nemytskij_in
 from .psolver import ParamSet, solve_param
-from .ratcore import (X, AffineExpr, ParamEnv, render_affine_p,
+from .ratcore import (X, AffineExpr, ParamEnv, from_lowered, render_affine_p,
                       render_fraction)
 from .spaces import (SCALARS, Anisotropy, Scale, SpaceDescr, TargetSpace,
                      lp_valued, require_concrete, sobolev_index)
@@ -95,12 +95,42 @@ def parse_prelude(text: str) -> dict[str, tuple[int, ...]]:
     return out
 
 
-# Whitespace is free between tokens; every read skips it first.
+# Whitespace is free between tokens.  The cursor always stands at a token
+# or at the end of the text.  Each pattern below reads one unit of the
+# grammar: a run of tokens, each followed by the whitespace after it.  A
+# token is tried only once the one before it has matched, so a unit that
+# stops short ends where its first missing token was expected, and the
+# error names that token at that position: a table maps the last group
+# read to the token expected after it.
 _SPACE = re.compile(r"\s*")
-_INT = re.compile(r"\d+")
-_RATIONAL = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
-_IDENT = re.compile(r"\w+")
-_SCALE = re.compile(r"C0|[BHWL]")
+_KEYWORD = re.compile(r"\s*(?:(solve)\s*(?:(p)\s*(?:(:)\s*)?)?"
+                      r"|(multiplier|nemytskij)\s*(?:(:)\s*)?"
+                      r"|(index|algebra|\[|\()\s*)?")
+_KEYWORD_NEXT = {1: "'p'", 2: "':'", 4: "':'"}
+# SCALE and '^{'
+_HEAD = re.compile(r"\s*(?:(C0|[BHWL])\s*(?:(\^\{)\s*)?)?")
+_HEAD_NEXT = {None: "a scale letter (B, H, W, L, C0)"}
+# one term of SEXPR (a sign only before the first), then '-' or '+' before
+# the next term, or the ',' or '}' after the expression
+_TERM = re.compile(r"([-+])?\s*(\d*)\s*(?:(/)\s*(\d*)\s*)?(p)?\s*([-+,}])?\s*")
+# the weights tuple and the '}' closing the smoothness block; a ',' after
+# the integers is one that no integer follows
+_WEIGHTS = re.compile(r"(?:(\()\s*(?:(\d+(?:\s*,\s*\d+)*)\s*"
+                      r"(?:(,)\s*|(\))\s*(?:(\})\s*)?)?)?)?")
+_WEIGHTS_NEXT = {None: "'('", 1: "an integer", 2: "')'", 3: "an integer",
+                 4: "'}'"}
+# QEXPR in '_{PEXPR, QEXPR}': 'oo', 'p', an integer, or '{' rational and
+# the ',' or '}' after it; PEXPR and QEXPR after their '_'
+_EXPONENT = re.compile(r"(?:(oo|p|\d+)|(\{)\s*(?:(\d+)(?:\s*/\s*(\d+))?"
+                       r"\s*([,}])?)?)?\s*")
+_SUBSCRIPT = re.compile(r"_\s*" + _EXPONENT.pattern)
+# DOMAIN: '(' then 'R^' with '{' dims '}' or one integer, or a prelude
+# label; then ')', or ';' and the name of the value space.  The last part
+# is tried wherever the dims stop, so it starts where they fall short.
+_DOMAIN = re.compile(r"(?:(\()\s*(?:(R\^)\s*(?:(\{)\s*(?:(\d+(?:\s*x\s*\d+)*)"
+                     r"\s*(?:(x)\s*|(\})\s*)?)?|(\d+)\s*)?|(\w+)\s*)?)?"
+                     r"(\)|;\s*(\w+)?)?\s*")
+_RATIONAL = re.compile(r"(?:(\d+)(?:\s*/\s*(\d+))?)?\s*")
 _WORD = re.compile(r"\w+|\S")
 
 
@@ -116,207 +146,219 @@ class _Cursor:
         self.offset = len(prefix)
         self.prelude = prelude
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.typed, self.pos - self.offset)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A parse error at ``at``, by default at the cursor."""
+        at = self.pos if at is None else at
+        return ParseError(message, self.typed, at - self.offset)
 
-    def token_start(self) -> int:
-        """Skip whitespace; the position of the next token."""
-        self.pos = _SPACE.match(self.text, self.pos).end()
-        return self.pos
-
-    def peek(self, token: str) -> bool:
-        return self.text.startswith(token, self.token_start())
-
-    def take(self, token: str) -> bool:
-        if self.peek(token):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str) -> None:
-        if not self.take(token):
-            raise self.error(f"expected {token!r}")
-
-    def at_end(self) -> bool:
-        return self.token_start() == len(self.text)
-
-    def read(self, pattern: re.Pattern, what: str) -> re.Match:
-        match = pattern.match(self.text, self.token_start())
-        if match is None:
-            raise self.error(f"expected {what}")
+    def read(self, unit: re.Pattern, expects: dict | None = None) -> re.Match:
+        """Match a unit at the cursor (every unit matches) and move past it;
+        ``expects`` names the token missing after the last group read."""
+        match = unit.match(self.text, self.pos)
         self.pos = match.end()
+        if expects and match.lastindex in expects:
+            raise self.error(f"expected {expects[match.lastindex]}")
         return match
 
-    def take_int(self) -> int:
-        return int(self.read(_INT, "an integer")[0])
+    def take(self, token: str) -> bool:
+        if not self.text.startswith(token, self.pos):
+            return False
+        self.pos = _SPACE.match(self.text, self.pos + len(token)).end()
+        return True
 
-    def take_denominator(self) -> int:
-        den = self.take_int()
-        if den == 0:
-            raise self.error("zero denominator")
-        return den
+    def expect(self, token: str) -> int:
+        """Read ``token``; the position just after it."""
+        end = self.pos + len(token)
+        if not self.take(token):
+            raise self.error(f"expected {token!r}")
+        return end
 
-    def take_rational(self) -> Fraction:
-        num, den = self.read(_RATIONAL, "an integer").groups()
-        if den is not None and int(den) == 0:
-            raise self.error("zero denominator")
-        return Fraction(int(num), int(den or 1))
+    def rational(self, match: re.Match, group: int) -> tuple[int, int, int]:
+        """The rational in ``group`` (numerator) and ``group + 1``
+        (denominator) of a unit: numerator, denominator and its end."""
+        num, den = match[group], match[group + 1]
+        if num is None:
+            raise self.error("expected an integer")
+        if den is None:
+            return int(num), 1, match.end(group)
+        if int(den) == 0:
+            raise self.error("zero denominator", match.end(group + 1))
+        return int(num), int(den), match.end(group + 1)
 
-    def take_theta(self) -> Fraction:
-        theta = self.take_rational()
-        if not 0 < theta < 1:
-            raise self.error("interpolation parameter must lie in (0, 1)")
-        return theta
-
-    def take_ident(self) -> str:
-        return self.read(_IDENT, "an identifier")[0]
+    def reciprocal(self, num: int, den: int, end: int) -> tuple[int, int]:
+        """(den, num): the reciprocal of the exponent num/den ending at end."""
+        if num == 0:
+            raise self.error("exponents must be positive", end)
+        return den, num
 
 
-def _parse_sexpr(cur: _Cursor) -> AffineExpr:
-    """Affine expression in 1/p: terms a, a/b, a/p, a/bp joined by +/-."""
-    sums = [Fraction(0), Fraction(0)]  # the constant and the slope
-    if cur.take("+"):
-        raise cur.error("expression cannot start with '+'")
-    sign = -1 if cur.take("-") else 1
+def _parse_sexpr(cur: _Cursor) -> tuple[tuple[int, int, int], str | None]:
+    """Affine expression in 1/p: terms a, a/b, a/p, a/bp joined by +/-.
+    Its lowered triple (A, B, D), the form (A + B/p) / D, and the token
+    read after it: ',' or '}', or None for any other."""
+    a, b, d, sign = 0, 0, 1, None  # sign: the operator before the term
     while True:
-        num, den, slope = cur.take_int(), 1, False
-        if cur.take("/"):
-            den = 1 if cur.peek("p") else cur.take_denominator()
-            slope = cur.take("p")
-        elif cur.peek("p"):
-            raise cur.error("p may only appear in reciprocals like 1/p or 1/2p")
-        sums[slope] += Fraction(sign * num, den)
-        if cur.take("-"):
-            sign = -1
-        elif cur.take("+"):
-            sign = 1
+        term = cur.read(_TERM)
+        if sign and term[1]:
+            raise cur.error("expected an integer", term.start(1))
+        if term[1] == "+":
+            raise cur.error("expression cannot start with '+'", term.end(1))
+        if not term[2] or term[3] and not (term[4] or term[5]):
+            raise cur.error("expected an integer",
+                            term.start(4 if term[2] else 2))
+        if term[5] and not term[3]:
+            raise cur.error("p may only appear in reciprocals like 1/p or 1/2p",
+                            term.start(5))
+        num, den = int(term[2]), int(term[4] or 1)
+        if den == 0:
+            raise cur.error("zero denominator", term.end(4))
+        if (sign or term[1]) == "-":
+            num = -num
+        if term[5]:
+            a, b, d = a * den, b * den + num * d, d * den
         else:
-            return AffineExpr(*sums)
+            a, b, d = a * den + num * d, b * den, d * den
+        sign = term[6]
+        if sign != "-" and sign != "+":
+            return (a, b, d), sign
 
 
-def _parse_ints(cur: _Cursor, sep: str, close: str) -> tuple[int, ...]:
-    """Integers joined by ``sep`` up to ``close``: weights and R^{...} dims."""
-    out = [cur.take_int()]
-    while cur.take(sep):
-        out.append(cur.take_int())
-    cur.expect(close)
-    return tuple(out)
-
-
-def _reciprocal(cur: _Cursor, value: Fraction) -> Fraction:
-    """The reciprocal of a literal exponent, which must be positive."""
-    if value <= 0:
-        raise cur.error("exponents must be positive")
-    return 1 / value
-
-
-def _parse_exponent(cur: _Cursor) -> Fraction | None:
-    """PEXPR / QEXPR: 'p', 'oo', an integer, or '{rational}'; the
-    reciprocal, None for the literal p."""
-    if cur.take("oo"):
-        return Fraction(0)
-    if cur.take("p"):
+def _parse_exponent(cur: _Cursor, unit: re.Match) -> tuple[int, int] | None:
+    """PEXPR / QEXPR, read as ``unit``: 'p', 'oo', an integer, or
+    '{rational}'; the reciprocal as a pair (numerator, denominator), None
+    for the literal p."""
+    word = unit[1]
+    if word == "oo":
+        return 0, 1
+    if word == "p":
         return None
-    if not cur.take("{"):
-        return _reciprocal(cur, Fraction(cur.take_int()))
-    value = cur.take_rational()
-    cur.expect("}")
-    return _reciprocal(cur, value)
+    if word:
+        return cur.reciprocal(int(word), 1, unit.end(1))
+    if not unit[2]:
+        raise cur.error("expected an integer")
+    num, den, _ = cur.rational(unit, 3)
+    if unit[5] != "}":
+        raise cur.error("expected '}'", unit.start(5) if unit[5] else None)
+    return cur.reciprocal(num, den, unit.end(5))
 
 
-def _parse_domain(cur: _Cursor) -> tuple[tuple[int, ...], str, TargetSpace]:
-    cur.expect("(")
-    if cur.take("R^"):
-        dims = _parse_ints(cur, "x", "}") if cur.take("{") \
-            else (cur.take_int(),)
-        label = "R^{" + "x".join(str(d) for d in dims) + "}" \
+def _parse_domain(cur: _Cursor
+                  ) -> tuple[tuple[int, ...], str, TargetSpace, int]:
+    """The dims, label and value space of DOMAIN, and the end of its ')'."""
+    unit = cur.read(_DOMAIN)
+    if unit[6] or unit[7]:  # R^{dims} or R^n
+        dims = tuple(map(int, (unit[4] or unit[7]).split("x")))
+        label = "R^{" + "x".join(map(str, dims)) + "}" \
             if len(dims) > 1 else f"R^{dims[0]}"
+    elif unit[8]:
+        label, dims = unit[8], ()
+        for part in [label] if label in cur.prelude else label.split("x"):
+            if part not in cur.prelude:
+                raise cur.error(f"unknown domain alias {label!r}", unit.end(8))
+            dims += cur.prelude[part]
     else:
-        label = cur.take_ident()
-        parts = [label] if label in cur.prelude else label.split("x")
-        if not all(part in cur.prelude for part in parts):
-            raise cur.error(f"unknown domain alias {label!r}")
-        dims = tuple(d for part in parts for d in cur.prelude[part])
-    target = _parse_target(cur) if cur.take(";") else SCALARS
-    cur.expect(")")
-    return dims, label, target
+        expected = ("'}'" if unit[4] and not unit[5] else "an integer") \
+            if unit[2] else "an identifier" if unit[1] else "'('"
+        raise cur.error(f"expected {expected}",
+                        unit.start(9) if unit[9] else None)
+    if unit[9] is None:
+        raise cur.error("expected ')'")
+    if unit[9] == ")":
+        return dims, label, SCALARS, unit.end(9)
+    return dims, label, _parse_target(cur, unit), cur.expect(")")
 
 
-def _parse_target(cur: _Cursor) -> TargetSpace:
-    name = cur.take_ident()
+def _parse_target(cur: _Cursor, domain: re.Match) -> TargetSpace:
+    """The value space named after the ';' of a DOMAIN unit."""
+    name = domain[10]
+    if name is None:
+        raise cur.error("expected an identifier")
     if name == "Lp":
-        cur.expect("(")
+        start = cur.expect("(")
         depth = 1
-        start = cur.pos
         while cur.pos < len(cur.text) and depth:
             ch = cur.text[cur.pos]
             depth += (ch == "(") - (ch == ")")
             cur.pos += 1
         if depth:
             raise cur.error("unbalanced parentheses in value-space tag")
-        return lp_valued(cur.text[start:cur.pos - 1].strip())
+        label = cur.text[start:cur.pos - 1].strip()
+        cur.pos = _SPACE.match(cur.text, cur.pos).end()
+        return lp_valued(label)
     if name in _NAMED_TARGETS:
         return _NAMED_TARGETS[name]
-    raise cur.error(f"unknown value space {name!r}")
+    raise cur.error(f"unknown value space {name!r}", domain.end(10))
 
 
 def parse_space(text: str,
                 prelude: dict[str, tuple[int, ...]] | None = None) -> SpaceDescr:
     cur = _Cursor(text, prelude or DEFAULT_PRELUDE)
     space = _parse_space(cur)
-    if not cur.at_end():
+    if cur.pos != len(cur.text):
         raise cur.error("trailing input after the space")
     return space
 
 
 def _parse_space(cur: _Cursor) -> SpaceDescr:
-    scale = Scale(cur.read(_SCALE, "a scale letter (B, H, W, L, C0)")[0])
-    no_smoothness = scale in (Scale.L, Scale.C0)
-    s = AffineExpr()
+    head = cur.read(_HEAD, _HEAD_NEXT)
+    scale = Scale(head[1])
+    no_smoothness = scale is Scale.L or scale is Scale.C0
+    s = (0, 0, 1)  # lowered, as _parse_sexpr returns it
     weights: tuple[int, ...] | None = None
-    if cur.take("^{"):
+    if head[2]:
+        after = ","
         if not no_smoothness:
-            s = _parse_sexpr(cur)
-        if no_smoothness or cur.take(","):
-            cur.expect("(")
-            weights = _parse_ints(cur, ",", ")")
-        cur.expect("}")
+            s, after = _parse_sexpr(cur)
+        if after == ",":
+            unit = cur.read(_WEIGHTS, _WEIGHTS_NEXT)
+            weights = tuple(map(int, unit[2].split(",")))
+        elif after != "}":
+            raise cur.error("expected '}'")
     elif not no_smoothness:
         raise cur.error(f"scale {scale} needs a smoothness block '^{{...}}'")
 
-    x = AffineExpr()
-    y: Fraction | None = None  # a symbolic micro-scale means q = p
+    x, y = AffineExpr(), None  # y: a reciprocal pair, as x is read
     if scale is not Scale.C0:
-        cur.expect("_")
-        if cur.take("{"):
-            x = AffineExpr(_reciprocal(cur, cur.take_rational()))
-            if cur.take(","):
+        if not cur.text.startswith("_", cur.pos):
+            raise cur.error("expected '_'")
+        unit = cur.read(_SUBSCRIPT)
+        if unit[2]:  # '_{' rational, then '}' or ', QEXPR }'
+            num, den, end = cur.rational(unit, 3)
+            xr = cur.reciprocal(num, den, end)
+            if unit[5] == ",":
                 if scale is not Scale.B:
-                    raise cur.error("only the Besov scale takes a micro-scale")
-                y = _parse_exponent(cur)
-            cur.expect("}")
+                    raise cur.error("only the Besov scale takes a micro-scale",
+                                    unit.end(5))
+                y = _parse_exponent(cur, cur.read(_EXPONENT))
+                cur.expect("}")
+            elif unit[5] is None:
+                raise cur.error("expected '}'")
         else:
-            xv = _parse_exponent(cur)
-            x = X if xv is None else AffineExpr(xv)
-        if scale is Scale.B and cur.take("_"):
-            y = _parse_exponent(cur)
-    if scale is Scale.B and y is not None and x.is_constant and y == x.constant:
-        y = None
-    if x.is_constant and not s.is_constant:
-        s = AffineExpr(s(x.constant))  # 1/p in the exponent, p concrete
+            xr = _parse_exponent(cur, unit)
+        if scale is Scale.B and cur.text.startswith("_", cur.pos):
+            y = _parse_exponent(cur, cur.read(_SUBSCRIPT))
+        if xr is None:
+            x = X
+        else:  # 1/p in the exponent, p concrete: s at x = xa/xd
+            (xa, xd), x = xr, from_lowered(xr[0], 0, xr[1])
+            s = (s[0] * xd + s[1] * xa, 0, s[2] * xd)
+    if y is not None:
+        y = Fraction(*y)
+        if x.is_constant and y == x.constant:
+            y = None
 
-    dims, label, target = _parse_domain(cur)
+    dims, label, target, end = _parse_domain(cur)
     if weights is None:
         weights = (1,) * len(dims)
     if len(weights) != len(dims):
         raise cur.error(
             f"{len(weights)} weights for {len(dims)} slices; use a domain "
-            f"like R^{{{'x'.join('1' for _ in weights)}}}")
+            f"like R^{{{'x'.join('1' for _ in weights)}}}", end)
     try:
-        return SpaceDescr(scale, s, x, y, Anisotropy(dims, weights), target,
-                          label)
+        return SpaceDescr(scale, from_lowered(*s), x, y,
+                          Anisotropy(dims, weights), target, label)
     except ValueError as exc:
-        raise cur.error(str(exc)) from None
+        raise cur.error(str(exc), end) from None
 
 
 # --------------------------------------------------------------------------
@@ -336,49 +378,50 @@ def parse_query(text: str, prelude: dict[str, tuple[int, ...]] | None = None,
                 prefix: str = "") -> Query:
     """A query; a command's keyword ``prefix`` (``"solve p: "``) is implied
     unless the text starts with its words."""
-    prelude = prelude or DEFAULT_PRELUDE
-    cur = _Cursor(text, prelude)
-    typed = all(cur.take(word) for word in _WORD.findall(prefix))
-    cur = _Cursor(text, prelude, "" if typed else prefix)
+    typed = not prefix or re.match(
+        r"\s*" + r"\s*".join(map(re.escape, _WORD.findall(prefix))), text)
+    cur = _Cursor(text, prelude or DEFAULT_PRELUDE, "" if typed else prefix)
     query = _parse_query(cur)
-    if not cur.at_end():
-        raise cur.error("trailing input after the query")
+    end = _SPACE.match(cur.text, cur.pos).end()
+    if end != len(cur.text):
+        raise cur.error("trailing input after the query", end)
     return query
 
 
 def _parse_query(cur: _Cursor) -> Query:
-    if cur.take("solve"):
-        cur.expect("p")
-        cur.expect(":")
+    """A query up to its last token, without the whitespace after it."""
+    unit = cur.read(_KEYWORD, _KEYWORD_NEXT)
+    if unit[1]:  # solve
         inner = _parse_query(cur)
         if inner.kind == "solve-p":
             raise cur.error("nested solve prefixes")
         return Query("solve-p", {"inner": inner})
-    if cur.take("index"):
+    if unit[4]:  # multiplier or nemytskij
+        return _parse_product(cur, unit[4])
+    word = unit[6]
+    if word == "index" or word == "algebra":
         space = _parse_space(cur)
-        cur.take("?")
-        return Query("index", {"space": space})
-    if cur.take("algebra"):
-        space = _parse_space(cur)
-        cur.take("?")
+        cur.pos += cur.text.startswith("?", cur.pos)  # an optional '?' ends it
+        if word == "index":
+            return Query("index", {"space": space})
         return Query("algebra", {"factors": (space,), "target": space})
-    for kind in _PREFIXED:
-        if cur.take(kind):
-            cur.expect(":")
-            return _parse_product(cur, kind)
-    for method, opener, closer in (("complex", "[", "]"), ("real", "(", ")")):
-        if cur.take(opener):
-            a = _parse_space(cur)
-            cur.expect(",")
-            b = _parse_space(cur)
-            cur.expect(closer)
-            cur.expect("_")
-            cur.expect("{")
-            p = {"method": method, "a": a, "b": b, "theta": cur.take_theta()}
-            if method == "real":
-                p["q"] = _parse_functor_q(cur)
-            cur.expect("}")
-            return Query("interp", p)
+    if word:
+        method, closer = ("complex", "]") if word == "[" else ("real", ")")
+        a = _parse_space(cur)
+        cur.expect(",")
+        b = _parse_space(cur)
+        for token in (closer, "_", "{"):
+            cur.expect(token)
+        num, den, end = cur.rational(cur.read(_RATIONAL), 1)
+        if not 0 < num < den:
+            raise cur.error("interpolation parameter must lie in (0, 1)", end)
+        p = {"method": method, "a": a, "b": b, "theta": Fraction(num, den)}
+        if method == "real":
+            p["q"] = _parse_functor_q(cur)
+        if not cur.text.startswith("}", cur.pos):
+            raise cur.error("expected '}'")
+        cur.pos += 1
+        return Query("interp", p)
     return _parse_product(cur, None)
 
 
@@ -388,10 +431,10 @@ def _parse_functor_q(cur: _Cursor) -> object:
         return COUPLED
     if cur.take("oo"):
         return Fraction(0)  # 0 stands for oo internally
-    q = cur.take_rational()
-    if q <= 0:
-        raise cur.error("the functor parameter q must be positive")
-    return q
+    num, den, end = cur.rational(cur.read(_RATIONAL), 1)
+    if num == 0:
+        raise cur.error("the functor parameter q must be positive", end)
+    return Fraction(num, den)
 
 
 _PREFIXED = ("multiplier", "nemytskij")
@@ -405,7 +448,7 @@ def _parse_product(cur: _Cursor, kind: str | None) -> Query:
         factors.append(_parse_space(cur))
     cur.expect("->")
     target = _parse_space(cur)
-    cur.take("?")
+    cur.pos += cur.text.startswith("?", cur.pos)
     if kind == "multiplier" and target not in factors:
         raise cur.error("multiplier queries need one factor equal to the target")
     if kind is None:

@@ -142,22 +142,22 @@ def multiples_in_unit_interval(
     or positive if ``allow_zero`` is false) integer multiple of ``modulus``.
 
     Constant forms produce no case-split points, so the empty list is
-    returned for them.
+    returned for them.  With ``e = (A + B*x) / D`` and ``modulus = m/n``,
+    ``e(x) = k*m/n`` at ``x = (k*m*D - A*n) / (B*n)``, which lies in (0, 1)
+    exactly when ``k*m*D`` lies strictly between ``A*n`` and ``(A + B)*n``.
     """
-    m = Fraction(modulus)
-    if m <= 0:
+    mod = Fraction(modulus)
+    if mod <= 0:
         raise ValueError("modulus must be positive")
-    if e.slope == 0:
+    a, b, d = lowered(e)
+    if b == 0:
         return []
-    lo, hi = sorted((e(0), e(1)))
-    points = []
-    k = max(0 if allow_zero else 1, math.ceil(lo / m))
-    while k * m <= hi:
-        x = (k * m - e.constant) / e.slope
-        if 0 < x < 1:
-            points.append(x)
-        k += 1
-    return sorted(points)
+    m, n = mod.numerator * d, mod.denominator
+    lo, hi = sorted((a * n, (a + b) * n))
+    first = max(0 if allow_zero else 1, lo // m + 1)
+    last = -(-hi // m) - 1
+    points = [Fraction(k * m - a * n, b * n) for k in range(first, last + 1)]
+    return points if b > 0 else points[::-1]
 
 
 @dataclass
@@ -190,6 +190,16 @@ def lowered(e: AffineLike | Lowered) -> Lowered:
     if t is tuple:
         return e
     return e.numerator, 0, e.denominator
+
+
+def from_lowered(a: int, b: int, d: int) -> AffineExpr:
+    """The form ``(a + b*x) / d`` (d > 0), with its lowered triple cached."""
+    g = math.gcd(a, b, d)
+    a, b, d = a // g, b // g, d // g
+    e = AffineExpr(Fraction(a, d), Fraction(b, d)) if b else \
+        AffineExpr(Fraction(a, d))
+    object.__setattr__(e, "_ints", (a, b, d))
+    return e
 
 
 def lowered_sum(terms) -> Lowered:

@@ -9,14 +9,15 @@ symbolic parameter so that every theorem condition stays affine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+import operator
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
 from .errors import HypothesisViolation, NotIdentifiable, Unsupported
 from .ratcore import (AffineExpr, AffineLike, BreakpointRecorder, ParamEnv,
-                      Rational, render_affine_p, render_fraction)
+                      Rational, from_lowered, lowered, render_affine_p,
+                      render_fraction)
 
 
 class Scale(str, Enum):
@@ -32,17 +33,30 @@ class Scale(str, Enum):
 
 @dataclass(frozen=True)
 class Anisotropy:
-    """Slice dimensions and weights with their derived quantities."""
+    """Slice dimensions and weights with their derived quantities: the
+    least common multiple of the weights ``omega_dot``, and the weighted
+    total dimension ``omega_dot_n`` (the inner product of weights and
+    dims)."""
 
     dims: tuple[int, ...]
     weights: tuple[int, ...]
+    omega_dot: int = field(init=False, repr=False, compare=False)
+    omega_dot_n: int = field(init=False, repr=False, compare=False)
+    is_isotropic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.dims) != len(self.weights) or not self.dims:
+        dims, weights = self.dims, self.weights
+        if len(dims) != len(weights) or not dims:
             raise ValueError("dims and weights must be nonempty and equally long")
-        if any(d <= 0 for d in self.dims) or any(w <= 0 for w in self.weights):
+        least = min(weights)
+        if least <= 0 or min(dims) <= 0:
             raise ValueError("dims and weights must be positive integers")
-        object.__setattr__(self, "_hash", hash((self.dims, self.weights)))
+        wd = math.lcm(*weights)
+        # frozen: the derived fields go straight into the instance dict;
+        # the lcm equals the least weight only when all weights are equal
+        self.__dict__.update(
+            omega_dot=wd, omega_dot_n=sum(map(operator.mul, weights, dims)),
+            is_isotropic=least == wd, _hash=hash((dims, weights)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -50,20 +64,6 @@ class Anisotropy:
     @property
     def nu(self) -> int:
         return len(self.dims)
-
-    @cached_property
-    def omega_dot(self) -> int:
-        """Least common multiple of the weights."""
-        return math.lcm(*self.weights)
-
-    @cached_property
-    def omega_dot_n(self) -> int:
-        """Weighted total dimension, the inner product of weights and dims."""
-        return sum(w * n for w, n in zip(self.weights, self.dims))
-
-    @cached_property
-    def is_isotropic(self) -> bool:
-        return all(w == self.omega_dot for w in self.weights)
 
     def __str__(self) -> str:
         d = "x".join(str(n) for n in self.dims)
@@ -115,6 +115,13 @@ def lp_valued(label: str) -> TargetSpace:
                        banach_algebra=False, unital=False)
 
 
+#: Scale -> whether the reciprocal integrability may be 0, whether it may
+#: be 1, and its upper bound.
+_X_RANGE = {Scale.H: (False, False, 1), Scale.B: (True, False, 1),
+            Scale.W: (False, True, 1), Scale.L: (True, True, 1),
+            Scale.C0: (True, True, 0)}
+
+
 @dataclass(frozen=True)
 class SpaceDescr:
     """Descriptor of one anisotropic function space."""
@@ -126,31 +133,30 @@ class SpaceDescr:
     aniso: Anisotropy
     target: TargetSpace = SCALARS
     domain_label: str = "R^n"
+    #: whether s and x are constant: p is given
+    is_concrete: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scale in (Scale.L, Scale.C0):
-            if not (self.s.is_constant and self.s.constant == 0):
-                raise ValueError(f"scale {self.scale} carries no smoothness")
-            if self.y is not None:
-                raise ValueError(f"scale {self.scale} carries no micro-scale")
-        if self.y is not None and self.scale is not Scale.B:
+        scale, y = self.scale, self.y
+        sa, sb, _ = lowered(self.s)
+        xa, xb, xd = lowered(self.x)
+        object.__setattr__(self, "is_concrete", not sb and not xb)
+        if scale is Scale.L or scale is Scale.C0:
+            if sa or sb:
+                raise ValueError(f"scale {scale} carries no smoothness")
+            if y is not None:
+                raise ValueError(f"scale {scale} carries no micro-scale")
+        if y is not None and scale is not Scale.B:
             raise ValueError("only the Besov scale carries a micro-scale")
-        if self.y is not None and not 0 <= self.y <= 1:
+        if y is not None and not 0 <= y <= 1:
             raise ValueError("micro-scale reciprocal must lie in [0, 1]")
-        if self.x.is_constant:
-            v = self.x.constant
-            lo_open, hi = {
-                Scale.H: (True, Fraction(1)),
-                Scale.B: (False, Fraction(1)),
-                Scale.W: (True, Fraction(1)),
-                Scale.L: (False, Fraction(1)),
-                Scale.C0: (False, Fraction(0)),
-            }[self.scale]
-            if v < 0 or v > hi or (lo_open and v == 0) or \
-                    (self.scale in (Scale.H, Scale.B) and v == 1):
-                raise ValueError(
-                    f"integrability reciprocal {v} out of range for scale {self.scale}")
-        if self.scale is Scale.W and self.s.is_constant and self.s.constant < 0:
+        if not xb:  # x = xa/xd in lowest terms
+            zero_ok, one_ok, hi = _X_RANGE[scale]
+            if xa < 0 or xa > hi * xd or (xa == 0 and not zero_ok) or \
+                    (xa == xd and not one_ok):
+                raise ValueError(f"integrability reciprocal {self.x.constant} "
+                                 f"out of range for scale {scale}")
+        if scale is Scale.W and not sb and sa < 0:
             raise ValueError("Sobolev-Slobodeckij smoothness must be nonnegative")
 
     def __hash__(self) -> int:
@@ -199,10 +205,6 @@ class SpaceDescr:
 
     # bookkeeping ------------------------------------------------------
 
-    @property
-    def is_concrete(self) -> bool:
-        return self.s.is_constant and self.x.is_constant
-
     def micro(self) -> AffineExpr:
         """Reciprocal micro-scale 1/q; absent micro-scale means q = p."""
         if self.scale is not Scale.B:
@@ -210,14 +212,21 @@ class SpaceDescr:
         return self.x if self.y is None else AffineExpr.of(self.y)
 
     def with_(self, **kw) -> "SpaceDescr":
-        return replace(self, **kw)
+        """A copy with some fields replaced; one that keeps s, x and the
+        anisotropy (a new scale or micro-scale) keeps the index too."""
+        out = replace(self, **kw)
+        if Scale.C0 not in (self.scale, out.scale) and \
+                kw.keys().isdisjoint(("s", "x", "aniso")):
+            object.__setattr__(out, "_index", sobolev_index(self))
+        return out
 
     def __str__(self) -> str:
         def expo(v: Fraction) -> str:
-            if v == 0:
+            # the exponent 1/v of a reciprocal v = n/d in [0, 1]
+            n, d = v.numerator, v.denominator
+            if n == 0:
                 return "oo"
-            r = 1 / v
-            return render_fraction(r) if r.denominator == 1 else f"{{{render_fraction(r)}}}"
+            return str(d) if n == 1 else f"{{{d}/{n}}}"
 
         p = expo(self.x.constant) if self.x.is_constant else "p"
         w = "(" + ",".join(str(v) for v in self.aniso.weights) + ")"
@@ -249,8 +258,11 @@ def sobolev_index(space: SpaceDescr) -> AffineExpr:
     if idx is None:
         if space.scale is Scale.C0:
             raise Unsupported("no index is assigned to the C0 scale")
-        a = space.aniso
-        idx = (space.s - space.x * a.omega_dot_n) / a.omega_dot
+        n, wd = space.aniso.omega_dot_n, space.aniso.omega_dot
+        sa, sb, sd = lowered(space.s)
+        xa, xb, xd = lowered(space.x)
+        idx = from_lowered(sa * xd - n * xa * sd, sb * xd - n * xb * sd,
+                           sd * xd * wd)
         object.__setattr__(space, "_index", idx)
     return idx
 

@@ -16,12 +16,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import anisocalc
-from anisocalc import AffineExpr, Scale, X, dsl
+from anisocalc import (SCALARS, AffineExpr, Scale, SpaceDescr, X, dsl,
+                       lp_valued)
 from anisocalc.dsl import (ParseError, format_query, parse_prelude,
                            parse_query, parse_space, run)
 from anisocalc.errors import EngineError
 
-from conftest import run_cli
+from conftest import rand_aniso, rand_fraction, rand_space, rand_x, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -593,3 +594,90 @@ def test_parse_errors_the_corpus_misses(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+_TOKEN = re.compile(r"\^\{|R\^|C0|oo|\d+|x(?=\d)|[A-Za-z]\w*|\S")
+_GAPS = ("", " ", "\t", "  ", "\n")
+_ALIASES = {1: ("J", "Rdot"), 2: ("Sigma",), 3: ("Rdotn",)}
+_TARGETS = (SCALARS, SCALARS, dsl._NAMED_TARGETS["E"],
+            dsl._NAMED_TARGETS["A"], lp_valued("Rdot"))
+
+
+def _printable_space(rng):
+    """A descriptor whose text the grammar reads back: conftest's random
+    spaces, symbolic ones, Lebesgue and C0 spaces, Besov spaces with a
+    micro-scale, over an R^ or prelude-alias domain and any value space."""
+    aniso = rand_aniso(rng)
+    kind = rng.choice(("concrete", "symbolic", "L", "C0", "Bq"))
+    if kind == "concrete":
+        sp = rand_space(rng, aniso, scales=(Scale.B, Scale.H, Scale.W))
+    elif kind == "symbolic":
+        s = AffineExpr(rand_fraction(rng, F(0), F(4)),
+                       -rand_fraction(rng, F(0), F(2)))
+        sp = rng.choice((SpaceDescr.bessel, SpaceDescr.sobolev,
+                         SpaceDescr.besov))(s, X, aniso)
+    elif kind == "L":
+        sp = SpaceDescr.lebesgue(rng.choice((F(0), F(1), rand_x(rng))), aniso)
+    elif kind == "C0":
+        sp = SpaceDescr.c0(aniso)
+    else:
+        y = rng.choice((F(0), F(1), rand_x(rng)))
+        sp = SpaceDescr.besov(rand_fraction(rng, F(0), F(4)),
+                              rng.choice((F(0), rand_x(rng))), aniso, y)
+    dims = aniso.dims
+    if rng.random() < 0.5:
+        label = "x".join(rng.choice(_ALIASES[n]) for n in dims)
+    else:
+        label = "R^{" + "x".join(map(str, dims)) + "}" if len(dims) > 1 \
+            else f"R^{dims[0]}"
+    return sp.with_(target=rng.choice(_TARGETS), domain_label=label)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_printed_spaces_parse_back_with_any_whitespace(rng):
+    # the unit patterns read the printed form of every kind of descriptor,
+    # with whitespace at every token boundary, to the same descriptor
+    sp = _printable_space(rng)
+    if sp.y is not None and sp.x.is_constant and sp.y == sp.x.constant:
+        sp = sp.with_(y=None)  # q = p is the default micro-scale
+    text = str(sp)
+    assert parse_space(text) == sp
+    spaced = "".join(rng.choice(_GAPS) + tok for tok in _TOKEN.findall(text))
+    assert "".join(_TOKEN.findall(spaced)) == "".join(text.split())
+    assert parse_space(spaced + rng.choice(_GAPS)) == sp
+
+
+def _space_count(query):
+    p = query.payload
+    if query.kind == "solve-p":
+        return _space_count(p["inner"])
+    if query.kind in ("index", "algebra"):
+        return 1
+    if query.kind == "interp":
+        return 2
+    return len(p["factors"]) + 1
+
+
+def test_parse_matches_at_most_twelve_patterns_per_space():
+    # a deterministic cost guard: the grammar is read in units (a scale
+    # head, each smoothness term, the weights, an exponent, the domain),
+    # not a token at a time, which matched 34-42 patterns per space
+    matches = []
+
+    def count(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None),
+                                            re.Pattern):
+            matches.append(arg.__name__)
+
+    for line in _corpus_lines():
+        spaces = _space_count(parse_query(line))
+        matches.clear()
+        sys.setprofile(count)
+        try:
+            parse_query(line)
+        finally:
+            sys.setprofile(None)
+        assert "match" in matches
+        assert len(matches) <= 12 * spaces, (line, matches)

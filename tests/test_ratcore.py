@@ -1,6 +1,7 @@
 """Exact arithmetic and sign-analysis tests."""
 
 import ast
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -221,6 +222,49 @@ def test_case_splits_match_fraction_reference(case):
         rec = BreakpointRecorder()
         ParamEnv(w, rec).is_multiple(e, m, allow_zero=allow_zero)
         assert rec.points == set(expected)
+
+
+def _multiples_by_fraction_walk(e, modulus, *, allow_zero=True):
+    """The walk ``multiples_in_unit_interval`` made in ``Fraction``
+    arithmetic before it worked on the lowered triple: the oracle."""
+    m = F(modulus)
+    if e.slope == 0:
+        return []
+    lo, hi = sorted((e(0), e(1)))
+    points = []
+    k = max(0 if allow_zero else 1, math.ceil(lo / m))
+    while k * m <= hi:
+        x = (k * m - e.constant) / e.slope
+        if 0 < x < 1:
+            points.append(x)
+        k += 1
+    return sorted(points)
+
+
+@st.composite
+def _walk_cases(draw):
+    """(form, modulus) with at most a few hundred multiples in (0, 1):
+    slopes within 50, moduli integers or fractions of at least 1/4; some
+    forms sit on a multiple at x = 0 or x = 1."""
+    slope = draw(st.one_of(st.just(F(0)), st.builds(
+        F, st.integers(-50 * 64, 50 * 64), st.integers(1, 64))))
+    m = draw(st.one_of(st.integers(1, 6), st.builds(
+        F, st.integers(1, 60), st.integers(1, 4))))
+    if draw(st.booleans()):
+        end = draw(st.sampled_from((F(0), F(1))))
+        constant = draw(st.integers(-3, 3)) * m - slope * end
+    else:
+        constant = draw(_rationals())
+    return AffineExpr(F(constant), slope), m
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_walk_cases(), st.booleans())
+def test_multiples_walk_integers_like_the_fraction_walk(case, allow_zero):
+    e, m = case
+    assert multiples_in_unit_interval(e, m, allow_zero=allow_zero) == \
+        _multiples_by_fraction_walk(e, m, allow_zero=allow_zero)
 
 
 def test_renderers():

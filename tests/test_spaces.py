@@ -1,13 +1,16 @@
 """Descriptor bookkeeping: indices, identifications, value-space flags."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from anisocalc import (SCALARS, AffineExpr, Anisotropy, Scale, SpaceDescr,
-                       TargetSpace, X, isotropic, lp_valued, normalize,
-                       parabolic, sobolev_index)
+from anisocalc import (SCALARS, AffineExpr, Anisotropy, ParamEnv, Scale,
+                       SpaceDescr, TargetSpace, X, isotropic, lp_valued,
+                       normalize, parabolic, sobolev_index, spaces)
+from anisocalc.dsl import parse_query, run
 from anisocalc.errors import HypothesisViolation, NotIdentifiable, Unsupported
+from anisocalc.ratcore import BreakpointRecorder, lowered
 
 from conftest import rand_aniso, rand_fraction, rand_space, rand_x
 
@@ -129,3 +132,54 @@ def test_valued_target_tag():
     t = lp_valued("Rdot")
     assert t.umd and t.prop_alpha and not t.banach_algebra
     assert t.name == "Lp(Rdot)"
+
+
+def test_index_integer_route_matches_closed_form(rng):
+    # the index is built from the lowered triples of s and x; the closed
+    # form (s - x (w.n)) / lcm(w) in Fraction arithmetic is the oracle for
+    # its value, equality, hash and lowered triple, on concrete and
+    # symbolic descriptors
+    for _ in range(400):
+        aniso = rand_aniso(rng)
+        wd = math.lcm(*aniso.weights)
+        wn = sum(w * n for w, n in zip(aniso.weights, aniso.dims))
+        assert aniso.omega_dot == wd and aniso.omega_dot_n == wn
+        assert aniso.is_isotropic == all(w == wd for w in aniso.weights)
+        if rng.random() < 0.5:
+            sp = rand_space(rng, aniso,
+                            scales=(Scale.B, Scale.H, Scale.W, Scale.L))
+        else:
+            s = AffineExpr(rand_fraction(rng, F(-2), F(4)),
+                           rand_fraction(rng, F(-3), F(3)))
+            sp = SpaceDescr.bessel(s, X, aniso)
+        want = (sp.s - sp.x * wn) / wd
+        got = sobolev_index(sp)
+        assert got == want and got.constant == want.constant
+        assert hash(got) == hash(want)
+        assert lowered(got) == lowered(AffineExpr(want.constant, want.slope))
+
+
+def test_scale_rewrites_keep_the_source_index():
+    # W -> H, W -> B and a dropped micro-scale keep s, x and the weights,
+    # so the rewritten descriptor shares the source's index at every witness
+    w = SpaceDescr.sobolev(AffineExpr(F(2), F(-1)), X, parabolic(1))
+    besov = SpaceDescr.besov(1, F(1, 3), isotropic(2), F(1, 3))
+    for sp in (w, besov):
+        for x in (F(1, 3), F(1, 2), F(2, 3)):
+            env = ParamEnv(x, BreakpointRecorder())
+            out = normalize(sp, env)
+            assert out is not sp and out.scale is not Scale.W
+            assert sobolev_index(out) is sobolev_index(sp)
+
+
+def test_recorded_solve_computes_one_index_per_source_space(monkeypatch):
+    # the index is computed in spaces only through from_lowered; without
+    # the shared index a recorded solve rebuilt it at every witness
+    q = parse_query("solve p: W^{2-1/p,(2,1)}_p(JxSigma) * "
+                    "W^{1-1/p,(2,1)}_p(JxSigma) -> W^{1-1/p,(2,1)}_p(JxSigma) ?")
+    computed = []
+    build = spaces.from_lowered
+    monkeypatch.setattr(spaces, "from_lowered",
+                        lambda *abd: computed.append(abd) or build(*abd))
+    assert not run(q).param_set.is_empty
+    assert len(computed) == 3
