@@ -257,13 +257,17 @@ _NVS_EXCLUSIONS = (Fraction(3, 2), Fraction(3))
 
 
 def _run_suite(problem: str, n: int, p: Rational | None,
-               facts: list[RegularityFact], checks: list[TermCheck],
+               facts_of: Callable[[int], list[RegularityFact]],
+               terms_of: Callable[[int], list[TermCheck]],
                exclusions: tuple[Fraction, ...],
                footnotes: tuple[str, ...]) -> SuiteReport:
+    """The checklist's report; n and p are checked before any space is
+    built."""
     if n < 2:
         raise ValueError("the checklists are stated for n >= 2")
-    if p is not None and p <= 0:
-        raise ValueError("the integrability exponent must be positive")
+    if p is not None and p <= 1:
+        raise ValueError("the checklists are stated for 1 < p < oo")
+    facts, checks = facts_of(n), terms_of(n)
     if p is None:
         results = [TermResult(chk, param_set=solve_param(
             decision_thunk(chk.query(X)))) for chk in checks]
@@ -286,7 +290,7 @@ def run_stefan(n: int, p: Rational | None = None) -> SuiteReport:
     """Checklist of the supercooled-interface problem in n space dimensions;
     ``p = None`` solves every term symbolically."""
     return _run_suite(
-        "stefan", n, p, stefan_facts(n), stefan_terms(n), _STEFAN_EXCLUSIONS,
+        "stefan", n, p, stefan_facts, stefan_terms, _STEFAN_EXCLUSIONS,
         ("initial-data compatibility conditions are listed, not checked "
          "(app.compat)",))
 
@@ -391,6 +395,6 @@ def run_nvs(n: int, p: Rational | None = None) -> SuiteReport:
     """Checklist of the two-phase incompressible-flow problem in n space
     dimensions; ``p = None`` solves every term symbolically."""
     return _run_suite(
-        "nvs", n, p, nvs_facts(n), nvs_terms(n), _NVS_EXCLUSIONS,
+        "nvs", n, p, nvs_facts, nvs_terms, _NVS_EXCLUSIONS,
         ("initial-data compatibility conditions are listed, not checked "
          "(app.compat)",))

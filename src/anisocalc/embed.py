@@ -47,17 +47,18 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class Decision:
-    """Verdict plus the ordered trace of checked conditions."""
+    """The ordered trace of checked conditions and its verdict: COVERED
+    exactly when no condition failed."""
 
-    verdict: Verdict
     trace: tuple[TraceEntry, ...]
+    verdict: Verdict = field(init=False)
 
     def __post_init__(self):
         if not self.trace:
             raise ValueError("a decision must carry a nonempty trace")
-        has_fail = any(e.status is Status.FAIL for e in self.trace)
-        if (self.verdict is Verdict.COVERED) == has_fail:
-            raise ValueError("verdict inconsistent with trace")
+        failed = any(e.status is Status.FAIL for e in self.trace)
+        object.__setattr__(self, "verdict", Verdict.NOT_COVERED if failed
+                           else Verdict.COVERED)
 
     @property
     def covered(self) -> bool:
@@ -115,8 +116,7 @@ class ConditionLog:
         return all(e.status is not Status.FAIL for e in self.entries)
 
     def decision(self) -> Decision:
-        return Decision(Verdict.COVERED if self.ok else Verdict.NOT_COVERED,
-                        tuple(self.entries))
+        return Decision(tuple(self.entries))
 
 
 def _index_condition(log: ConditionLog, label: str, anchor: str,

@@ -71,7 +71,6 @@ class GaussianSpec:
     sigmas: tuple[float, ...]
     freqs: tuple[float, ...] | None = None
     phase: str = "cos"
-    amplitude: float = 1.0
 
     def _require_axes(self, n: int) -> None:
         if len(self.sigmas) != n:
@@ -89,7 +88,7 @@ class GaussianSpec:
         sig = tuple(s / c for s, c in zip(self.sigmas, per_axis))
         frq = None if self.freqs is None else tuple(
             f * c for f, c in zip(self.freqs, per_axis))
-        return GaussianSpec(sig, frq, self.phase, self.amplitude)
+        return GaussianSpec(sig, frq, self.phase)
 
     def sample(self, slice_dims: tuple[int, ...], spacings: tuple[float, ...],
                decay_radius: float) -> GridFunction:
@@ -108,7 +107,7 @@ class GaussianSpec:
             axes.extend([coord] * nk)
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         quad = sum((g / s) ** 2 for g, s in zip(grids, self.sigmas))
-        vals = self.amplitude * np.exp(-quad / 2)
+        vals = np.exp(-quad / 2)
         if self.freqs is not None and any(self.freqs):
             arg = sum(f * g for f, g in zip(self.freqs, grids))
             vals = vals * (np.cos(arg) if self.phase == "cos" else np.sin(arg))

@@ -239,21 +239,20 @@ def solve_param(decide: DecisionFn) -> ParamSet:
     excluded points inside a covered neighborhood.
     """
     points: set[Fraction] = set()
+    # a witness's result does not depend on the partition: each witness
+    # is evaluated once
     cache: dict[Fraction, _CellResult] = {}
 
     def evaluate(witness: Fraction) -> _CellResult:
         if witness in cache:
             return cache[witness]
         rec = BreakpointRecorder()
-        env = ParamEnv(witness, rec)
         try:
-            verdict = decide(env).verdict is Verdict.COVERED
-            result = _CellResult(verdict)
+            result = _CellResult(
+                decide(ParamEnv(witness, rec)).verdict is Verdict.COVERED)
         except NotIdentifiable as exc:
             result = _CellResult(False, str(exc))
-        if not rec.points <= points:
-            points.update(rec.points)
-            cache.clear()  # witnesses shift with the partition
+        points.update(rec.points)
         cache[witness] = result
         return result
 

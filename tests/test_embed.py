@@ -54,6 +54,15 @@ def test_lebesgue_source_outside_zero_order_range(x):
     assert d.first_failure().anchor == "space.zero-order"
 
 
+def test_no_rule_from_a_c0_source():
+    # C0 is a target of the embedding rules, never a source: the verdict is
+    # a failed dispatch condition, not an exception
+    d = embeds(parse_space("C0(R^1)"), parse_space("L^{(1)}_oo(R^1)"))
+    assert d.verdict is Verdict.NOT_COVERED
+    assert [(e.anchor, e.status, e.note) for e in d.trace] == [
+        ("embed.dispatch", Status.FAIL, "no rule for C0 -> L")]
+
+
 def test_besov_into_bessel_potential_borderline():
     src = SpaceDescr.besov(3, F(1, 2), Anisotropy((1, 1), (1, 1)), F(1))
     dst = SpaceDescr.bessel(2, F(1, 3), Anisotropy((1, 1), (1, 1)))

@@ -72,24 +72,26 @@ def test_known_gaussian_value():
     assert res.truncation_error_estimate > 0
 
 
-def _spectral_seminorm(u: GridFunction, sigma: float) -> float:
-    """The W^sigma_2 seminorm on the line in Fourier form (Di Nezza,
-    Palatucci and Valdinoci 2012, Prop. 3.4):
-    sqrt(c(sigma) / (2 pi) * int |xi|^{2 sigma} |u^(xi)|^2 dxi) with
-    c(sigma) = 4 Gamma(1 - 2 sigma) cos(pi sigma) / (2 sigma), here written
-    as pi / (sigma sin(pi sigma) Gamma(2 sigma)) by the reflection formula,
-    which stays finite at sigma = 1/2 (c = 2 pi).  The transform is the FFT
-    of the samples zero-padded to at least 8 times their length."""
+def _spectral_seminorm(u: GridFunction, sigma: float, pad: int = 8) -> float:
+    """The W^sigma_2 seminorm of one isotropic slice R^n in Fourier form
+    (Di Nezza, Palatucci and Valdinoci 2012, Prop. 3.4):
+    sqrt(c(n, sigma) / (2 pi)^n * int |xi|^{2 sigma} |u^(xi)|^2 dxi) with
+    c(n, s) = 2 pi^{n/2} Gamma(1 - s) / (s 4^s Gamma(n/2 + s)), which at
+    n = 1 is 4 Gamma(1 - 2s) cos(pi s) / (2s) by the duplication and
+    reflection formulas and stays finite at s = 1/2 (c = 2 pi).  The
+    transform is the FFT of the samples zero-padded to at least ``pad``
+    times their length along each axis."""
     dx = u.spacings[0]
-    n = 1 << (8 * len(u.samples) - 1).bit_length()
-    uhat = np.fft.rfft(u.samples, n) * dx
-    xi = 2 * np.pi * np.fft.rfftfreq(n, d=dx)
-    both_signs = np.full(len(xi), 2.0)
-    both_signs[0] = both_signs[-1] = 1.0  # xi = 0 and the Nyquist frequency
-    integral = np.sum(both_signs * xi ** (2 * sigma) * np.abs(uhat) ** 2) * \
-        2 * np.pi / (n * dx)
-    c = math.pi / (sigma * math.sin(math.pi * sigma) * math.gamma(2 * sigma))
-    return math.sqrt(c / (2 * math.pi) * integral)
+    n = u.samples.ndim
+    shape = [1 << (pad * m - 1).bit_length() for m in u.samples.shape]
+    uhat = np.fft.fftn(u.samples, shape, axes=range(n)) * dx ** n
+    xi2 = sum(np.meshgrid(*((2 * np.pi * np.fft.fftfreq(m, d=dx)) ** 2
+                            for m in shape), indexing="ij", sparse=True))
+    integral = np.sum(xi2 ** sigma * np.abs(uhat) ** 2) * \
+        math.prod(2 * np.pi / (m * dx) for m in shape)
+    c = 2 * math.pi ** (n / 2) * math.gamma(1 - sigma) / (
+        sigma * 4 ** sigma * math.gamma(n / 2 + sigma))
+    return math.sqrt(c / (2 * math.pi) ** n * integral)
 
 
 @pytest.mark.parametrize("spec", [GaussianSpec((1.0,)),
@@ -105,6 +107,25 @@ def test_spectral_oracle_at_p2(spec, s):
     exact = _spectral_seminorm(u, float(s))
     assert res.value <= exact
     assert exact - res.value <= res.truncation_error_estimate + 1e-3 * exact
+
+
+@pytest.mark.parametrize("sigmas, spacing, radius",
+                         [((1.0, 1.5), 0.1, 6.0),
+                          ((1.0, 1.25, 1.5), 0.3, 4.5)], ids=["R2", "R3"])
+@pytest.mark.parametrize("s", [F(1, 4), F(1, 2), F(3, 4)])
+def test_spectral_oracle_on_multidimensional_slices(sigmas, spacing, radius,
+                                                    s):
+    # the direction rules of R^2 and R^3 slices, on a Gaussian with unequal
+    # widths so that the difference norms depend on the direction; on these
+    # coarse grids the quadrature meets the Fourier value within its
+    # truncation plus 1 %
+    n = len(sigmas)
+    u = GaussianSpec(sigmas).sample((n,), (spacing,), radius)
+    space = SpaceDescr.sobolev(s, F(1, 2), isotropic(n), SCALARS, f"R^{n}")
+    res = seminorm_slobodeckij(u, space)
+    exact = _spectral_seminorm(u, float(s), pad=4)
+    assert res.value <= exact
+    assert exact - res.value <= res.truncation_error_estimate + 1e-2 * exact
 
 
 def _padded_difference_power_sum(v, axes, shift, coeffs, p):
@@ -346,18 +367,27 @@ def test_seminorm_meta_slices():
         for k, order, sigma in ((1, 1, 0.75), (2, 2, 1.5))]}
 
 
-def test_cli_table_equals_library_fit():
+def test_cli_table_equals_library_fit(tmp_path):
+    # the scaling table as JSON rows, as text and as a CSV file, and the
+    # single value without dilations
     space = "W^{1/2,(2,1)}_2(R^{1x1})"
     opts = ["seminorm", "--space", space, "--sigma", "1", "--spacing", "1/10",
-            "--radius", "5", "--machine"]
-    code, stdout, stderr = run_cli([*opts, "--dilations", "1/2,1,2"])
+            "--radius", "5"]
+    table = [*opts, "--dilations", "1/2,1,2"]
+    code, stdout, stderr = run_cli([*table, "--machine"])
     assert code == 0, stderr
     rows = [tuple(r) for r in json.loads(stdout)["rows"]]
     sp = SpaceDescr.sobolev(F(1, 2), F(1, 2), parabolic(1), SCALARS, "JxSigma")
     _, pts = dilation_scaling_exponent(sp, GaussianSpec((1.0, 1.0)),
                                        [0.5, 1.0, 2.0], (0.1, 0.1), 5.0)
     assert rows == pts
-    code, stdout, stderr = run_cli(opts)
+    text = "lambda,seminorm\n" + "".join(f"{lam},{val:.12g}\n"
+                                          for lam, val in pts)
+    assert run_cli(table) == (0, text, "")
+    csv = tmp_path / "table.csv"
+    assert run_cli([*table, "--csv", str(csv)]) == (0, f"wrote {csv}\n", "")
+    assert csv.read_text() == text
+    code, stdout, stderr = run_cli([*opts, "--machine"])
     assert code == 0, stderr
     assert json.loads(stdout)["value"] == pts[1][1]
 

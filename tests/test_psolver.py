@@ -1,11 +1,13 @@
 """Symbolic parameter solving: exact ranges, endpoints, soundness."""
 
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from anisocalc import appsuite, dsl, psolver
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance,
                        NotIdentifiable, ParamSet, SpaceDescr, Verdict, X,
                        lp_valued, solve_param)
@@ -236,3 +238,63 @@ def test_large_slope_solved_set_agrees_at_endpoints():
     for x in (F(1, 111), F(2, 5), *(e.x for e in ps.excluded)):
         for x0 in (x - eps, x, x + eps):
             assert _covered_at(decide, x0) == ps.contains(x0), x0
+
+
+# queries whose later rounds find new breakpoints next to cells already
+# evaluated, with their solved p-ranges
+_LATE_BREAKPOINTS = [
+    ("solve p: algebra W^{3/2-1/p,(2,1)}_p(R^{2x1}; A) ?", "(4, oo)"),
+    ("solve p: W^{2-1/2p,(1)}_p(R^1; A) -> W^{5/2-3/2p,(1)}_p(R^1; A) ?",
+     "(1, 2]"),
+    ("solve p: B^{1/2,(1)}_p(R^2; E) -> W^{1-1/p,(1)}_p(R^2; E) ?", "(1, 2]"),
+    ("solve p: B^{3/2,(2,1)}_p(JxRdot; A) * W^{5/2-1/2p,(2,1)}_p(JxRdot) -> "
+     "W^{5/2-3/2p,(2,1)}_p(JxRdot; A) ?", "[4/3, 3/2]"),
+    ("solve p: multiplier: W^{3/2-1/p,(2,1)}_p(R^{2x1}; A) * "
+     "W^{3/2-1/p,(2,1)}_p(R^{2x1}; A) * W^{2-1/2p,(2,1)}_p(R^{2x1}; A) -> "
+     "W^{3/2-1/p,(2,1)}_p(R^{2x1}; A) ?", "(4, oo)"),
+]
+
+
+def test_solve_param_evaluates_each_witness_once(monkeypatch):
+    # a witness's result does not depend on the breakpoints found so far,
+    # so a new breakpoint must not send the solver back to the witnesses it
+    # has evaluated; the solved sets stay the golden reports' and the
+    # checklists' expected ranges
+    witnesses, repeats = [], []
+
+    class Witnessed(ParamEnv):
+        __slots__ = ()
+
+        def __init__(self, witness, recorder=None):
+            witnesses.append(witness)
+            super().__init__(witness, recorder)
+
+    def solve_once_each(decide):
+        witnesses.clear()
+        ps = solve(decide)
+        repeats.extend(w for w in set(witnesses) if witnesses.count(w) > 1)
+        return ps
+
+    solve = psolver.solve_param
+    monkeypatch.setattr(psolver, "ParamEnv", Witnessed)
+    for module in (dsl, appsuite):
+        monkeypatch.setattr(module, "solve_param", solve_once_each)
+    golden = Path(__file__).parent / "golden"
+    reports = [json.loads(line) for line in
+               (golden / "reports.jsonl").read_text().splitlines()]
+    solved = [doc for doc in reports if doc["kind"] == "solve-p"]
+    assert len(solved) == 5
+    for doc in solved:
+        got = run(parse_query(doc["query"])).param_set.to_machine()
+        assert got == doc["param_set"], doc["query"]
+    for text, p_range in _LATE_BREAKPOINTS:
+        query = parse_query(text)
+        ps = run(query).param_set
+        assert ps.describe_p() == p_range, text
+        decide = decision_thunk(query.payload["inner"])
+        for x in {b for iv in ps.intervals for b in (iv.lo, iv.hi)} - {0}:
+            assert _covered_at(decide, x) == ps.contains(x), (text, x)
+    for suite in (run_stefan, run_nvs):
+        for n in range(2, 9):
+            assert all(t.matches_expected for t in suite(n).terms)
+    assert repeats == []
