@@ -2,7 +2,8 @@
 
 Difference-quotient quadrature on tensor-product grids: log-spaced radial
 nodes for the improper step-size integral, direction sampling on each
-slice, Riemann sums for the space integrals.  Everything here is a
+slice, Riemann sums for the space integrals (at p = 2 a quadratic form
+read off one FFT autocorrelation per derivative).  Everything here is a
 double-precision sanity probe for the exact decisions, never part of
 them.
 """
@@ -25,6 +26,8 @@ from .spaces import Scale, SpaceDescr
 _NODES_PER_DECADE = 16
 _MIN_DECADES = 2
 #: Largest tensor grid a Gaussian is sampled on (134 MB per float64 array).
+#: At p = 2 the FFT pads each slice axis of n points to about 2n, so an R^d
+#: slice's half spectrum takes about 2^(d+3) bytes per grid point.
 _MAX_GRID_POINTS = 1 << 24
 
 
@@ -158,38 +161,74 @@ def _radial_nodes(spacing: float, decay_radius: float) -> tuple[np.ndarray, np.n
     return r, w
 
 
+def _copies(shifts: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The copies of v in sum_i c_i v(x + i*shift), shifts (..., d) in cells:
+    v moved by whole cells, blended over the 2^d corners of its cell.  Each
+    copy's start (the grid index where v[0, ..., 0] lands; (..., K, d)) and
+    weight (c_i times its corner weight; (..., K)), K = len(coeffs) 2^d."""
+    d = shifts.shape[-1]
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    t = np.arange(len(coeffs))[:, None] * shifts[..., None, :]
+    cells = np.floor(t)
+    frac = (t - cells)[..., None, :]
+    starts = (-cells[..., None, :] - corners).astype(int)
+    weights = np.asarray(coeffs, dtype=float)[:, None] * np.prod(
+        np.where(corners == 1, frac, 1 - frac), axis=-1)
+    return (starts.reshape(*shifts.shape[:-1], -1, d),
+            weights.reshape(*shifts.shape[:-1], -1))
+
+
 def _difference_power_sum(v: np.ndarray, axes: list[int], shift: np.ndarray,
                           coeffs, p: float) -> float:
     """Sum over all grid points x of |sum_i c_i v(x + i*shift)|^p.
 
     ``shift`` is in cells along the slice ``axes``; v is zero off its grid
-    and multilinear between grid points.  Each shifted copy is an integer
-    slice of v blended over the corners of its cell, and the copies are
+    and multilinear between grid points.  The copies of ``_copies`` are
     added in a box that just covers the union of their supports, so every
     difference is exact for the truncated samples without any padding.
     """
-    copies = []  # (grid index at which v[0, ..., 0] lands, weight)
-    for i, c in enumerate(coeffs):
-        t = i * shift
-        cells = np.floor(t)
-        frac = t - cells
-        for corner in itertools.product((0, 1), repeat=len(axes)):
-            w = c * math.prod(f if e else 1 - f for f, e in zip(frac, corner))
-            if w != 0:  # whole-cell shifts keep the box tight
-                copies.append(((-cells - corner).astype(int), w))
-    lo = np.min([start for start, _ in copies], axis=0)
-    hi = np.max([start for start, _ in copies], axis=0)
+    starts, weights = _copies(np.asarray(shift, dtype=float), coeffs)
+    keep = weights != 0  # whole-cell shifts keep the box tight
+    starts, weights = starts[keep], weights[keep]
+    lo, hi = starts.min(axis=0), starts.max(axis=0)
     shape = list(v.shape)
     for j, ax in enumerate(axes):
         shape[ax] += int(hi[j] - lo[j])
     acc = np.zeros(shape)
-    for start, w in copies:
+    for start, w in zip(starts, weights):
         region = [slice(None)] * v.ndim
         for j, ax in enumerate(axes):
             off = int(start[j] - lo[j])
             region[ax] = slice(off, off + v.shape[ax])
         acc[tuple(region)] += w * v
     return float(np.sum(np.abs(acc) ** p))
+
+
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, a length pocketfft is fast on (n
+    divides a power of 30 exactly when it has no other prime factor)."""
+    return next(n for n in itertools.count(m) if 30 ** n.bit_length() % n == 0)
+
+
+def _difference_square_sums(v: np.ndarray, axes: list[int],
+                            shifts: np.ndarray, coeffs) -> np.ndarray:
+    """``_difference_power_sum`` at p = 2 for all shifts (..., d) at once:
+    sum_kl w_k w_l A[s_k - s_l] over the copies' weights w and starts s, with
+    A[m] = sum_x v(x) v(x + m) over the slice axes (summed over the others)
+    from one FFT padded on each slice axis of n points to the smallest
+    2^a 3^b 5^c >= 2n - 1, so no lag wraps; |m_j| >= n_j reads as 0."""
+    n = [v.shape[ax] for ax in axes]
+    lengths = [_fft_length(2 * m - 1) for m in n]
+    # one expression, so the spectrum is freed before the power is summed
+    power = (np.abs(np.fft.rfftn(v, lengths, axes=axes)) ** 2).sum(
+        axis=tuple(ax for ax in range(v.ndim) if ax not in axes))
+    acf = np.fft.irfftn(power, lengths, axes=range(len(axes)))
+    starts, weights = _copies(shifts, coeffs)
+    lags = starts[..., :, None, :] - starts[..., None, :, :]
+    gram = np.where(np.all(np.abs(lags) < n, axis=-1),
+                    acf[tuple(np.moveaxis(lags % lengths, -1, 0))], 0.0)
+    sums = np.einsum("...k,...kl,...l->...", weights, gram, weights)
+    return np.maximum(sums, 0)  # a vanishing difference rounds either way
 
 
 def _derivatives(u: GridFunction, k: int, order: int) -> list[np.ndarray]:
@@ -226,7 +265,8 @@ def _quadrature(u: GridFunction, plans: list[tuple[int, int, int, float]],
 
     with alpha running over the partial derivatives of total order m along
     slice k.  Each plan is (order, m, n, sigma) for its slice; ``order``
-    only labels the slice in ``meta``.
+    only labels the slice in ``meta``.  At p = 2 all steps come from one
+    autocorrelation per derivative; at any other p each is summed apart.
     """
     pf, qf = float(p), float(q)
     total = 0.0
@@ -243,12 +283,15 @@ def _quadrature(u: GridFunction, plans: list[tuple[int, int, int, float]],
         weight = r ** (-sigma * qf)
         g = np.zeros_like(r)
         tail_mass = 0.0
+        shifts = r[:, None] * dirs[:, None, :] / dx  # (direction, node, axis)
         for v in _derivatives(u, k, mord):
-            for d, dw in zip(dirs, dweights):
-                sums = np.array([
-                    _difference_power_sum(v, axes, ri * d / dx, coeffs, pf)
-                    for ri in r])
-                g += dw * weight * (sums * cell) ** (qf / pf)
+            if p == 2:
+                sums = _difference_square_sums(v, axes, shifts, coeffs)
+            else:
+                sums = np.array([[_difference_power_sum(v, axes, h, coeffs, pf)
+                                  for h in row] for row in shifts])
+            for row, dw in zip(sums, dweights):
+                g += dw * weight * (row * cell) ** (qf / pf)
             tail_mass += (sum(abs(c) ** pf for c in coeffs) *
                           float(np.sum(np.abs(v) ** pf)) * cell) ** (qf / pf)
         total += float(np.sum(wq * g))
@@ -432,7 +475,11 @@ def dilation_scaling_exponent(space: SpaceDescr, gauss: GaussianSpec,
                               decay_radius: float) -> tuple[float, list[tuple[float, float]]]:
     """Least-squares slope of log(seminorm) against log(lambda) under the
     anisotropic dilation; the exact change of variables predicts
-    lcm(w) * index."""
+    lcm(w) * index.  A line needs two distinct lambdas; fewer are refused
+    before any grid is sampled."""
+    if len(set(lambdas)) < 2:
+        raise ValueError(f"a scaling exponent needs at least two distinct "
+                         f"dilations, got {list(lambdas)}")
     pts = dilated_seminorms(space, gauss, lambdas, spacings, decay_radius)
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])

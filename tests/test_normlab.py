@@ -14,15 +14,15 @@ import pytest
 
 import anisocalc
 from anisocalc import (SCALARS, MultInstance, SpaceDescr, isotropic,
-                       parabolic)
+                       normlab, parabolic)
 from anisocalc.dsl import parse_space
 from anisocalc.errors import (ResolutionError, UncoveredInstance, Unsupported,
                               WrongScale)
 from anisocalc.normlab import (GaussianSpec, GridFunction,
-                               _difference_power_sum, check_product_estimate,
-                               dilated_seminorms, dilation_scaling_exponent,
-                               full_norm, seminorm_besov,
-                               seminorm_slobodeckij)
+                               _difference_power_sum, _difference_square_sums,
+                               check_product_estimate, dilated_seminorms,
+                               dilation_scaling_exponent, full_norm,
+                               seminorm_besov, seminorm_slobodeckij)
 
 from conftest import run_cli
 
@@ -173,10 +173,34 @@ def test_difference_power_sum_matches_padded_reference(shape, axes, coeffs, p):
         [-(extent + 2.5), 0.5, extent + 1.0][:len(axes)],    # off the grid
         [0.0, 2.0, -1.0][:len(axes)],                        # whole cells
     ]
-    for shift in shifts:
+    wants = [_padded_difference_power_sum(v, axes, shift, coeffs, p)
+             for shift in shifts]
+    for shift, want in zip(shifts, wants):
         got = _difference_power_sum(v, axes, np.array(shift), coeffs, p)
-        want = _padded_difference_power_sum(v, axes, shift, coeffs, p)
         assert abs(got - want) <= 1e-12 * want
+    if p == 2:
+        # the autocorrelation's Gram form, all shifts in one call; off the
+        # grid every lag between distinct copies is out of range.  A second
+        # difference within one cell of a line vanishes exactly (the copies
+        # interpolate linearly), and there the form leaves rounding of its
+        # size sum(c^2) sum(v^2), where the grid sum leaves its square
+        got = _difference_square_sums(v, axes, np.array(shifts), coeffs)
+        assert got.shape == (len(shifts),)
+        size = sum(c * c for c in coeffs) * float(np.sum(v ** 2))
+        for g, want in zip(got, wants):
+            assert abs(g - want) <= 1e-11 * want + 1e-14 * size
+
+
+def test_square_sums_are_never_negative():
+    # rounding of a vanishing second difference used to come out below 0,
+    # and a Besov micro-scale q != 2 then raised it to a nan
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(200)
+    shifts = np.array([[0.5], [-0.5], [0.25], [0.1], [0.0]])
+    assert np.all(_difference_square_sums(v, [0], shifts, (1, -2, 1)) >= 0)
+    u = GridFunction((1,), (0.05,), v, 5.0)
+    b = SpaceDescr.besov(F(3, 2), F(1, 2), ISO1, F(1, 3), SCALARS, "R^1")
+    assert math.isfinite(seminorm_besov(u, b).value)
 
 
 def test_dilation_fit_leaves_scipy_unloaded():
@@ -202,7 +226,20 @@ def test_dilation_fit_leaves_scipy_unloaded():
 def test_gaussian_refuses_a_wrong_axis_count(spec):
     # the dilation used to drop the values past the last axis silently
     with pytest.raises(ValueError, match="per axis"):
-        dilation_scaling_exponent(W12, spec, [1.0], (0.02,), 12.0)
+        dilation_scaling_exponent(W12, spec, [1.0, 2.0], (0.02,), 12.0)
+
+
+@pytest.mark.parametrize("lambdas", [[2.0, 2.0], [1.0], []])
+def test_scaling_exponent_refuses_fewer_than_two_lambdas(monkeypatch, lambdas):
+    # [2.0, 2.0] used to fit a slope of 0.645 and [1.0] a nan, with only a
+    # RankWarning
+    def no_sampling(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(GaussianSpec, "sample", no_sampling)
+    with pytest.raises(ValueError, match="two distinct dilations"):
+        dilation_scaling_exponent(W12, GaussianSpec((1.0,)), lambdas,
+                                  (0.02,), 12.0)
 
 
 def test_grid_size_bound_names_the_count():
@@ -365,6 +402,41 @@ def test_seminorm_meta_slices():
         {"slice": k, "order": order, "sigma": sigma, "radial_nodes": 43,
          "r_range": (0.05, 20.0)}
         for k, order, sigma in ((1, 1, 0.75), (2, 2, 1.5))]}
+
+
+def _looped_square_sums(v, axes, shifts, coeffs):
+    """The p = 2 sums one shift at a time on the grid, as at any other p."""
+    flat = shifts.reshape(-1, shifts.shape[-1])
+    return np.array([_difference_power_sum(v, axes, h, coeffs, 2.0)
+                     for h in flat]).reshape(shifts.shape[:-1])
+
+
+@pytest.mark.parametrize("text, spec, spacing, radius", [
+    ("W^{3/2,(1)}_2(R^1)", GaussianSpec((1.0,)), 0.05, 8.0),
+    ("B^{3/2,(1)}_{2,2}(R^1)", GaussianSpec((1.0,)), 0.05, 8.0),
+    ("W^{1/2,(2,1)}_2(R^{1x1})", GaussianSpec((1.0, 1.2)), 0.1, 5.0),
+    ("W^{1/2,(1)}_2(R^2)", GaussianSpec((1.0, 1.5)), 0.2, 3.0),
+    ("W^{1/2,(1)}_2(R^3)", GaussianSpec((1.0, 1.25, 1.5)), 0.3, 4.5),
+    ("W^{1/2,(1)}_2(R^1)", GaussianSpec((1.0,), (3.0,)), 0.02, 12.0),
+], ids=["W-derivative", "B-second-difference", "parabolic", "R2", "R3",
+        "modulated"])
+def test_square_sums_match_the_grid_sums(monkeypatch, text, spec, spacing,
+                                         radius):
+    # the whole seminorm through the autocorrelation against the same
+    # quadrature with every p = 2 sum added up on the grid
+    space = parse_space(text)
+    dims = tuple(space.aniso.dims)
+    u = spec.sample(dims, (spacing,) * len(dims), radius)
+    semi = seminorm_slobodeckij if text[0] == "W" else seminorm_besov
+    fast = semi(u, space)
+    monkeypatch.setattr(normlab, "_difference_square_sums",
+                        _looped_square_sums)
+    slow = semi(u, space)
+    assert fast.meta == slow.meta
+    assert abs(fast.value - slow.value) <= 1e-10 * slow.value
+    assert abs(fast.truncation_error_estimate -
+               slow.truncation_error_estimate) <= \
+        1e-10 * slow.truncation_error_estimate
 
 
 def test_cli_table_equals_library_fit(tmp_path):
