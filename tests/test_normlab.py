@@ -192,8 +192,8 @@ def test_difference_power_sum_matches_padded_reference(shape, axes, coeffs, p):
 
 
 def test_square_sums_are_never_negative():
-    # rounding of a vanishing second difference used to come out below 0,
-    # and a Besov micro-scale q != 2 then raised it to a nan
+    # the Gram form of a vanishing second difference can round below 0,
+    # and a Besov micro-scale q != 2 would raise that to a nan
     rng = np.random.default_rng(0)
     v = rng.standard_normal(200)
     shifts = np.array([[0.5], [-0.5], [0.25], [0.1], [0.0]])
