@@ -10,10 +10,10 @@ compared against the recorded expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .dsl import (EXIT_COVERED, EXIT_NOT_COVERED, SCHEMA, Query,
                   decision_thunk)
@@ -38,20 +38,30 @@ class RegularityFact:
     anchor: str
 
 
+Spaces = dict[str, SpaceDescr]
+
+
 @dataclass(frozen=True)
 class TermCheck:
-    """One nonlinearity term with its engine query and expected range."""
+    """One nonlinearity term: a query of its kind from the named factor
+    spaces into the named target space, and its expected range."""
 
     name: str
     term_text: str
     governing: str
-    query: Callable[[AffineExpr], Query]
+    kind: str
+    factors: tuple[str, ...]
+    target: str
     expected: ParamSet
     anchor: str
+    #: the checklist's spaces at a given x = 1/p
+    spaces: Callable[[AffineExpr], Spaces] = field(repr=False)
 
-    @property
-    def kind(self) -> str:
-        return self.query(X).kind
+    def query(self, spaces: Spaces) -> Query:
+        """The term's query over the checklist's spaces at some x."""
+        return Query(self.kind, {
+            "factors": tuple(spaces[f] for f in self.factors),
+            "target": spaces[self.target]})
 
 
 @dataclass
@@ -159,19 +169,6 @@ class SuiteReport:
 # shared builders
 
 
-def _term(spaces: Callable[[AffineExpr], dict[str, SpaceDescr]],
-          anchor: str, name: str, text: str, governing: str, kind: str,
-          factors: Sequence[str], target: str,
-          expected: ParamSet) -> TermCheck:
-    """A term whose query maps the named factor spaces into the named
-    target space."""
-    def query(x: AffineExpr) -> Query:
-        sp = spaces(x)
-        return Query(kind, {"factors": tuple(sp[f] for f in factors),
-                            "target": sp[target]})
-    return TermCheck(name, text, governing, query, expected, anchor)
-
-
 def _x_upto(hi: Fraction, closed: bool) -> ParamSet:
     return ParamSet.from_x(Fraction(0), False, hi, closed)
 
@@ -202,8 +199,7 @@ def _stefan_spaces(n: int, x: AffineExpr):
     return spaces
 
 
-def stefan_facts(n: int, x: AffineExpr = X) -> list[RegularityFact]:
-    sp = _stefan_spaces(n, x)
+def stefan_facts(sp: Spaces) -> list[RegularityFact]:
     a = "app.stefan.mixed-derivative"
     return [
         RegularityFact("time derivative of the height", sp["dt_h"], a),
@@ -223,8 +219,8 @@ def stefan_terms(n: int) -> list[TermCheck]:
     every_p = ParamSet.unit_interval()
     g1 = "p >= (n+2)/2"
     g2 = "p > 2(n+2)/5"
-    term = partial(_term, partial(_stefan_spaces, n),
-                   "app.stefan.mixed-derivative")
+    term = partial(TermCheck, anchor="app.stefan.mixed-derivative",
+                   spaces=partial(_stefan_spaces, n))
     gradients = ("grad_h",) * (n - 1)
 
     return [
@@ -257,33 +253,42 @@ _NVS_EXCLUSIONS = (Fraction(3, 2), Fraction(3))
 
 
 def _run_suite(problem: str, n: int, p: Rational | None,
-               facts_of: Callable[[int], list[RegularityFact]],
+               facts_of: Callable[[Spaces], list[RegularityFact]],
                terms_of: Callable[[int], list[TermCheck]],
                exclusions: tuple[Fraction, ...],
                footnotes: tuple[str, ...]) -> SuiteReport:
     """The checklist's report; n and p are checked before any space is
-    built."""
+    built.  The spaces are built once, and terms with equal queries (kind,
+    factors and target) are decided once."""
     if n < 2:
         raise ValueError("the checklists are stated for n >= 2")
     if p is not None and p <= 1:
         raise ValueError("the checklists are stated for 1 < p < oo")
-    facts, checks = facts_of(n), terms_of(n)
+    checks = terms_of(n)
+    symbolic = checks[0].spaces(X)
+    spaces = symbolic if p is None else \
+        checks[0].spaces(AffineExpr.of(Fraction(1, 1) / Fraction(p)))
+    decided: dict = {}
+    results = []
+    for chk in checks:
+        key = (chk.kind, chk.factors, chk.target)
+        if key not in decided:
+            thunk = decision_thunk(chk.query(spaces))
+            decided[key] = solve_param(thunk) if p is None else \
+                thunk(ParamEnv.concrete())
+        results.append(TermResult(chk, param_set=decided[key]) if p is None
+                       else TermResult(chk, decision=decided[key]))
     if p is None:
-        results = [TermResult(chk, param_set=solve_param(
-            decision_thunk(chk.query(X)))) for chk in checks]
         inter = ParamSet.unit_interval()
         for res in results:
             inter = inter.intersect(res.param_set)
         final = inter.without_points(
             [(Fraction(1, 1) / q, "app.exclusions") for q in exclusions])
     else:
-        x = AffineExpr.of(Fraction(1, 1) / Fraction(p))
-        results = [TermResult(chk, decision=decision_thunk(chk.query(x))(
-            ParamEnv.concrete())) for chk in checks]
         inter = final = None
     excl = tuple((q, "app.exclusions") for q in exclusions)
-    return SuiteReport(problem, n, p, facts, results, inter, final, excl,
-                       footnotes)
+    return SuiteReport(problem, n, p, facts_of(symbolic), results, inter,
+                       final, excl, footnotes)
 
 
 def run_stefan(n: int, p: Rational | None = None) -> SuiteReport:
@@ -325,8 +330,7 @@ def _nvs_spaces(n: int, x: AffineExpr):
     }
 
 
-def nvs_facts(n: int, x: AffineExpr = X) -> list[RegularityFact]:
-    sp = _nvs_spaces(n, x)
+def nvs_facts(sp: Spaces) -> list[RegularityFact]:
     a = "app.nvs.mixed-derivative"
     return [
         RegularityFact("time derivative of the height", sp["dt_h"], a),
@@ -347,7 +351,8 @@ def nvs_terms(n: int) -> list[TermCheck]:
     reqp1 = _x_upto(Fraction(2, n + 2), False)    # p > (n+2)/2
     reqp2 = _x_upto(Fraction(3, n + 2), True)     # p >= (n+2)/3
     g1w, g1, g2 = "p >= (n+2)/2", "p > (n+2)/2", "p >= (n+2)/3"
-    term = partial(_term, partial(_nvs_spaces, n), "app.nvs.mixed-derivative")
+    term = partial(TermCheck, anchor="app.nvs.mixed-derivative",
+                   spaces=partial(_nvs_spaces, n))
     gradients = ("grad_h",) * (n - 1)
 
     return [

@@ -183,7 +183,9 @@ def _seminorm(args: argparse.Namespace) -> int:
 
 
 def _app(args: argparse.Namespace) -> int:
-    p = None if (args.solve_p or args.p is None) else _rational(args.p)
+    if args.solve_p and args.p is not None:
+        raise ValueError("--p and --solve-p exclude each other")
+    p = None if args.p is None else _rational(args.p)
     run = appsuite.run_stefan if args.problem == "stefan" else appsuite.run_nvs
     return _emit(run(args.n, p), args.machine)
 

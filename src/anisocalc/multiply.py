@@ -91,6 +91,16 @@ def _hypotheses(inst: MultInstance, log: ConditionLog) -> None:
     log.passed("admissible value-space product", "hyp.signature")
 
 
+def _normalized(spaces: Sequence[SpaceDescr], env: ParamEnv,
+                norm) -> list[SpaceDescr]:
+    """``norm(sp, env)`` of each space, once per distinct descriptor object
+    (a checklist passes one gradient space up to n times).  The caller
+    passes its module's ``normalize``, which the traced benchmark wraps."""
+    distinct = {id(sp): sp for sp in spaces}
+    done = {key: norm(sp, env) for key, sp in distinct.items()}
+    return [done[id(sp)] for sp in spaces]
+
+
 def _target_scale_gates(x_t: Scale) -> tuple[str | None, str | None]:
     """Why the conditions for a Besov and for a Bessel-potential target do
     not apply to a target on the scale ``x_t`` (None where they do)."""
@@ -138,8 +148,7 @@ def decide_multiplication_in(inst: MultInstance, env: ParamEnv) -> Decision:
     log = ConditionLog()
     _hypotheses(inst, log)
 
-    facs = [normalize(f, env) for f in inst.factors]
-    tgt = normalize(inst.target, env)
+    *facs, tgt = _normalized((*inst.factors, inst.target), env, normalize)
     wd = tgt.aniso.omega_dot
     if not _one_parameter_besov([*facs, tgt], env, log):
         return log.decision()
@@ -230,8 +239,7 @@ def decide_multiplier_in(inst: MultInstance, ell: int,
     log = ConditionLog()
     _hypotheses(inst, log)
 
-    facs = [normalize(f, env) for f in inst.factors]
-    tgt = normalize(inst.target, env)
+    *facs, tgt = _normalized((*inst.factors, inst.target), env, normalize)
     if not _one_parameter_besov([*facs, tgt], env, log):
         return log.decision()
     pivot = facs[ell - 1]

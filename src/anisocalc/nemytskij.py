@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .embed import ConditionLog, Decision, Verdict
 from .errors import HypothesisViolation
-from .multiply import (MultInstance, _hypotheses, _one_parameter_besov,
-                       _target_scale_gates)
+from .multiply import (MultInstance, _hypotheses, _normalized,
+                       _one_parameter_besov, _target_scale_gates)
 from .ratcore import ParamEnv, Rational
 from .spaces import (SpaceDescr, effective_scale, normalize, require_concrete,
                      sobolev_index)
@@ -78,8 +78,7 @@ def decide_nemytskij_in(args: Sequence[SpaceDescr], target: SpaceDescr,
     log.check("defining function vanishes at the origin",
               "nemytskij.vanishing", phi.vanishes_at_zero)
 
-    facs = [normalize(a, env) for a in args]
-    tgt = normalize(target, env)
+    *facs, tgt = _normalized((*args, target), env, normalize)
     if not _one_parameter_besov([*facs, tgt], env, log):
         return log.decision(), None
     log.check("positive smoothness and exponents in (1, oo)",

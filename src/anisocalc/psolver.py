@@ -4,16 +4,21 @@ The solver evaluates a decision thunk at rational witnesses while
 recording every affine comparison and divisibility check met along the
 way.  Zeros of the recorded forms are the only points where the executed
 path can change, so iterating to a fixed point yields a partition of
-(0, 1) into cells of constant verdict; each open cell is then labelled by
-one witness and each breakpoint by its own exact evaluation.
+(0, 1) into cells of constant verdict; each open cell is labelled by one
+witness and each breakpoint by its own exact evaluation.
+
+Any two points of an open cell take the same path, so a cell's witness is
+one evaluated in an earlier round where one lies inside it, and its
+midpoint otherwise: a solve makes exactly 2 * breakpoints + 1 evaluations.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .embed import Decision, Verdict
 from .errors import NotIdentifiable, Unsupported
@@ -258,28 +263,38 @@ def solve_param(decide: DecisionFn) -> ParamSet:
 
     for _ in range(_MAX_ROUNDS):
         before = set(points)
-        for w in _witnesses(sorted(points)):
+        breaks = sorted(points)
+        cells = _cell_witnesses(breaks, cache)
+        for w in (*cells, *breaks):
             evaluate(w)
         if points == before:
             break
     else:
         raise Unsupported("case-split points failed to stabilize")
 
-    return _assemble(sorted(points), evaluate)
+    return _assemble(breaks, cells, evaluate)
 
 
-def _witnesses(breaks: list[Fraction]) -> list[Fraction]:
+def _cell_witnesses(breaks: list[Fraction], evaluated: Iterable[Fraction],
+                    ) -> list[Fraction]:
+    """One witness inside each open cell between the breakpoints: an
+    evaluated one where there is one, else the midpoint."""
+    done = sorted(evaluated)
     bounds = [Fraction(0), *breaks, Fraction(1)]
-    mids = [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
-    return mids + breaks
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        i = bisect_right(done, lo)
+        out.append(done[i] if i < len(done) and done[i] < hi
+                   else (lo + hi) / 2)
+    return out
 
 
-def _assemble(breaks: list[Fraction],
+def _assemble(breaks: list[Fraction], witnesses: list[Fraction],
               evaluate: Callable[[Fraction], _CellResult]) -> ParamSet:
     bounds = [Fraction(0), *breaks, Fraction(1)]
     open_results = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        res = evaluate((lo + hi) / 2)
+    for w in witnesses:
+        res = evaluate(w)
         if res.error is not None:
             # an identification failing on a whole cell is structural
             raise NotIdentifiable(res.error)

@@ -277,7 +277,8 @@ class ParamEnv:
 
         For non-constant forms this holds on at most finitely many x, which
         are recorded as case-split points.  They do not depend on the
-        witness, so each form keeps them, keyed by ``(modulus,
+        witness, so each form keeps them as a frozenset (whose stored
+        hashes the recorder's update reuses), keyed by ``(modulus,
         allow_zero)``.
         """
         if self.recorder is not None and type(e) is AffineExpr and e.slope:
@@ -289,7 +290,7 @@ class ParamEnv:
             key = (modulus, allow_zero)
             points = splits.get(key)
             if points is None:
-                points = splits[key] = tuple(multiples_in_unit_interval(
+                points = splits[key] = frozenset(multiples_in_unit_interval(
                     e, modulus, allow_zero=allow_zero))
             self.recorder.points.update(points)
         a, b, d = lowered(e)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -202,9 +202,15 @@ class SpaceDescr:
         return self.x if self.y is None else AffineExpr.of(self.y)
 
     def with_(self, **kw) -> "SpaceDescr":
-        """A copy with some fields replaced; one that keeps s, x and the
-        anisotropy (a new scale or micro-scale) keeps the index too."""
-        out = replace(self, **kw)
+        """A copy with some fields replaced and every check of the
+        constructor run; one that keeps s, x and the anisotropy (a new
+        scale or micro-scale) keeps the index too."""
+        # as dataclasses.replace, without its per-field frozen __init__
+        if not kw.keys() <= _FIELDS:
+            raise TypeError(f"unknown descriptor fields {kw.keys() - _FIELDS}")
+        out = object.__new__(SpaceDescr)
+        out.__dict__.update({f: self.__dict__[f] for f in _FIELDS}, **kw)
+        out.__post_init__()
         if Scale.C0 not in (self.scale, out.scale) and \
                 kw.keys().isdisjoint(("s", "x", "aniso")):
             object.__setattr__(out, "_index", sobolev_index(self))
@@ -229,6 +235,9 @@ class SpaceDescr:
         q = f"_{expo(self.y)}" if (self.scale is Scale.B and self.y is not None) else ""
         return (f"{self.scale}^{{{render_affine_p(self.s)},{w}}}"
                 f"_{p}{q}({self.domain_label}{val})")
+
+
+_FIELDS = frozenset(f.name for f in fields(SpaceDescr) if f.init)
 
 
 def require_concrete(*spaces: SpaceDescr) -> None:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from anisocalc import ParamSet
+from anisocalc import ParamSet, appsuite
 from anisocalc.appsuite import run_nvs, run_stefan
 
 from conftest import run_cli
@@ -122,3 +122,25 @@ def _app_transcript() -> str:
 
 def test_app_checklists_match_golden():
     assert _app_transcript() == (GOLDEN / "app.txt").read_text()
+
+
+@pytest.mark.parametrize("suite, distinct", [(run_nvs, 10), (run_stefan, 8)])
+def test_checklist_solves_each_distinct_term_once(monkeypatch, suite,
+                                                   distinct):
+    # nvs repeats four queries ("gradient transport" is also the velocity
+    # part of the divergence correction), stefan one (phi and psi); each
+    # distinct (kind, factors, target) is solved once over one descriptor
+    # set, and equal queries report equal ranges
+    solved = []
+    solve = appsuite.solve_param
+    monkeypatch.setattr(appsuite, "solve_param",
+                        lambda decide: solved.append(decide) or solve(decide))
+    for n in range(2, 9):
+        solved.clear()
+        report = suite(n)
+        assert len(solved) == distinct
+        by_query = {}
+        for t in report.terms:
+            key = (t.check.kind, t.check.factors, t.check.target)
+            assert by_query.setdefault(key, t.param_set) == t.param_set
+        assert len(by_query) == distinct

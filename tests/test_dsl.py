@@ -275,6 +275,8 @@ _EXIT_CASES = [
     pytest.param(["app", "stefan", "--n", "3", "--p", "1"], 2, id="app-p-one"),
     pytest.param(["app", "nvs", "--n", "3", "--p", "1/2"], 2,
                  id="app-p-below-one"),
+    pytest.param(["app", "stefan", "--n", "3", "--p", "1/0", "--solve-p"], 2,
+                 id="app-p-with-solve-p"),
     pytest.param(["solve-p", "solve p:algebra W^{1-1/p,(2,1)}_p(JxSigma) ?"],
                  0, id="solve-prefix-unspaced"),
     pytest.param(["multiplier", "multiplier:W^{2-1/p,(2,1)}_3(JxSigma) * "

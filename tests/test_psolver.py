@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,11 +13,11 @@ from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance,
                        NotIdentifiable, ParamSet, SpaceDescr, Verdict, X,
                        lp_valued, solve_param)
 from anisocalc.appsuite import run_nvs, run_stefan
-from anisocalc.dsl import decision_thunk, parse_query, run
+from anisocalc.dsl import decision_thunk, format_query, parse_query, run
 from anisocalc.multiply import (decide_algebra_in, decide_multiplication_in,
                                 decide_multiplier_in)
 from anisocalc.psolver import ExcludedPoint, Interval
-from anisocalc.ratcore import ParamEnv
+from anisocalc.ratcore import BreakpointRecorder, ParamEnv
 
 SIG = Anisotropy((1, 2), (2, 1))
 VAL = lp_valued("Rdot")
@@ -191,7 +192,8 @@ def _solved_cases():
         for n in range(2, 6):
             for term in suite(n).terms:
                 cases.append((f"{suite.__name__}({n}) {term.check.name}",
-                              term.check.query(X), term.param_set))
+                              term.check.query(term.check.spaces(X)),
+                              term.param_set))
     return cases
 
 
@@ -298,3 +300,73 @@ def test_solve_param_evaluates_each_witness_once(monkeypatch):
         for n in range(2, 9):
             assert all(t.matches_expected for t in suite(n).terms)
     assert repeats == []
+
+
+def _midpoint_solve(decide):
+    """The reference solver: every round evaluates the midpoint of each
+    open cell and each breakpoint, a witness at most once."""
+    points, cache = set(), {}
+
+    def evaluate(witness):
+        if witness not in cache:
+            rec = BreakpointRecorder()
+            try:
+                cache[witness] = psolver._CellResult(
+                    decide(ParamEnv(witness, rec)).verdict is Verdict.COVERED)
+            except NotIdentifiable as exc:
+                cache[witness] = psolver._CellResult(False, str(exc))
+            points.update(rec.points)
+        return cache[witness]
+
+    while True:
+        before = set(points)
+        bounds = [F(0), *sorted(points), F(1)]
+        mids = [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
+        for w in mids + bounds[1:-1]:
+            evaluate(w)
+        if points == before:
+            return psolver._assemble(bounds[1:-1], mids, evaluate)
+
+
+def _generated_solve_lines(count: int) -> list[str]:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    return [line.text for line in corpus.solve_lines(1)[:count]]
+
+
+def test_solver_evaluates_each_cell_and_breakpoint_once():
+    # every open cell is labelled by one evaluated witness inside it (a
+    # reused one where there is one) and every breakpoint by its own
+    # evaluation: 2 * breakpoints + 1 evaluations, and the same set,
+    # excluded points and reasons included, as the midpoint reference
+    golden = Path(__file__).parent / "golden" / "queries.txt"
+    texts = [line for line in golden.read_text().splitlines()
+             if line.startswith("solve p:")] + _generated_solve_lines(200)
+    texts += [text for text, _ in _LATE_BREAKPOINTS] + [
+        "solve p: nemytskij: W^{2-1/p,(2,1)}_p(JxSigma) * "
+        "W^{221/p,(2,1)}_p(JxSigma) -> W^{2-1/p,(2,1)}_p(JxSigma) ?"]
+    inner = [parse_query(text).payload["inner"] for text in texts]
+    for suite in (appsuite.nvs_terms, appsuite.stefan_terms):
+        for n in range(2, 6):
+            inner += [chk.query(chk.spaces(X)) for chk in suite(n)]
+    assert len(inner) == 5 + 200 + 6 + 4 * (14 + 9)
+    excluded = 0
+    for query in inner:
+        calls, points = [0], set()
+
+        def counted(env, decide=decision_thunk(query)):
+            calls[0] += 1
+            try:
+                return decide(env)
+            finally:
+                points.update(env.recorder.points)
+
+        got = solve_param(counted)
+        assert got == _midpoint_solve(decision_thunk(query)), \
+            format_query(query)
+        assert calls[0] == 2 * len(points) + 1, format_query(query)
+        excluded += len(got.excluded)
+    assert excluded >= 43

@@ -1,6 +1,8 @@
 """Descriptor bookkeeping: indices, identifications, value-space flags."""
 
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -183,3 +185,57 @@ def test_recorded_solve_computes_one_index_per_source_space(monkeypatch):
                         lambda *abd: computed.append(abd) or build(*abd))
     assert not run(q).param_set.is_empty
     assert len(computed) == 3
+
+
+# the keyword sets of the scale rewrites normalize makes (W -> L, W -> H,
+# W -> B, H -> L, a dropped micro-scale) and of the embedding and
+# interpolation rewrites
+_REWRITES = [dict(scale=Scale.L, s=AffineExpr(), y=None),
+             dict(scale=Scale.H), dict(scale=Scale.B, y=None),
+             dict(scale=Scale.L, s=AffineExpr()), dict(y=None),
+             dict(x=AffineExpr(F(1, 3))), dict(s=AffineExpr(F(7, 4)))]
+
+
+def _same_descriptor(got: SpaceDescr, want: SpaceDescr) -> None:
+    assert got == want and hash(got) == hash(want)
+    assert got.is_concrete is want.is_concrete and str(got) == str(want)
+    if want.scale is Scale.C0:
+        with pytest.raises(Unsupported):
+            sobolev_index(got)
+    else:
+        assert sobolev_index(got) == sobolev_index(want)
+
+
+def test_rewrite_copies_like_dataclass_replace(rng):
+    # with_ builds its copy without dataclasses.replace but runs the same
+    # checks: each rewrite equals replace's copy, or both refuse it
+    sources = []
+    for _ in range(150):
+        aniso = rand_aniso(rng)
+        sources.append(rand_space(rng, aniso, scales=(Scale.B, Scale.H,
+                                                      Scale.W, Scale.L)))
+        s = AffineExpr(rand_fraction(rng, F(0), F(4)),
+                       -rand_fraction(rng, F(0), F(2)))
+        sources.append(rng.choice((SpaceDescr.bessel, SpaceDescr.sobolev,
+                                   SpaceDescr.besov))(s, X, aniso))
+    sources.append(SpaceDescr.c0(isotropic(2)))
+    made = refused = 0
+    for sp in sources:
+        if sp.scale is not Scale.C0:
+            sobolev_index(sp)  # a rewrite keeping s, x and weights keeps it
+        for kw in _REWRITES:
+            try:
+                want = replace(sp, **kw)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    sp.with_(**kw)
+                refused += 1
+                continue
+            _same_descriptor(sp.with_(**kw), want)
+            made += 1
+    assert made > 1500 and refused > 50
+    nonzero = SpaceDescr.bessel(F(3, 2), F(1, 2), isotropic(1))
+    with pytest.raises(ValueError, match="carries no smoothness"):
+        nonzero.with_(scale=Scale.L)
+    with pytest.raises(TypeError):
+        nonzero.with_(p=2)
