@@ -1,8 +1,8 @@
 """Symbolic parameter solving: exact ranges, endpoints, soundness."""
 
+import importlib
 import json
 import random
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -328,23 +328,19 @@ def _midpoint_solve(decide):
             return psolver._assemble(bounds[1:-1], mids, evaluate)
 
 
-def _generated_solve_lines(count: int) -> list[str]:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import corpus
-    finally:
-        sys.path.pop(0)
-    return [line.text for line in corpus.solve_lines(1)[:count]]
-
-
-def test_solver_evaluates_each_cell_and_breakpoint_once():
+def test_solver_evaluates_each_cell_and_breakpoint_once(monkeypatch):
     # every open cell is labelled by one evaluated witness inside it (a
     # reused one where there is one) and every breakpoint by its own
     # evaluation: 2 * breakpoints + 1 evaluations, and the same set,
-    # excluded points and reasons included, as the midpoint reference
+    # excluded points and reasons included, as the midpoint reference;
+    # the generated lines are the benchmark's seed-1 solve p: lines
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    corpus = importlib.import_module("corpus")
     golden = Path(__file__).parent / "golden" / "queries.txt"
     texts = [line for line in golden.read_text().splitlines()
-             if line.startswith("solve p:")] + _generated_solve_lines(200)
+             if line.startswith("solve p:")]
+    texts += [line.text for line in corpus.solve_lines(1)[:200]]
     texts += [text for text, _ in _LATE_BREAKPOINTS] + [
         "solve p: nemytskij: W^{2-1/p,(2,1)}_p(JxSigma) * "
         "W^{221/p,(2,1)}_p(JxSigma) -> W^{2-1/p,(2,1)}_p(JxSigma) ?"]
