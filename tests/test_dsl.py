@@ -224,6 +224,21 @@ def test_golden_corpus_failures_name_conditions():
             assert fail is not None and fail.label and fail.anchor
 
 
+def test_seeded_corpora_outputs_are_pinned():
+    # perfbench's concrete and solve p: lines, seeds 1-5, and the app
+    # checklists at n = 2..8; regenerate with tests/corpus_digests.py
+    import corpus_digests
+
+    expected = (GOLDEN / "corpus_digests.txt").read_text().splitlines()
+    items = corpus_digests.inputs()
+    assert len(items) == len(expected)
+    changed = [f"{want} <- {item}" for want, (label, item)
+               in zip(expected, items)
+               if corpus_digests.digest_line(label, item) != want]
+    assert not changed, f"{len(changed)} changed, first: " + \
+        "; ".join(changed[:5])
+
+
 _H = "H^{1,(1)}_2(R^2)"
 _W = "W^{1/2,(1)}_2(R^1)"
 
