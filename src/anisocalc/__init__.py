@@ -10,8 +10,8 @@ from .embed import (COUPLED, Decision, Status, TraceEntry, Verdict, embeds,
                     interpolate_complex, interpolate_real)
 from .errors import (ClosureFromUncovered, EngineError, HypothesisViolation,
                      IncompatibleSpaces, InfeasibleRange, NoInterpolationRule,
-                     NotIdentifiable, ResolutionError, UncoveredInstance,
-                     Unsupported, WrongScale)
+                     NotIdentifiable, ResolutionError, Unsupported,
+                     WrongScale)
 from .lemmas import (MinimizationInput, MinimizerRule, RealizationInput,
                      minimize_phi, realize_exponents)
 from .multiply import (MultInstance, decide_algebra, decide_multiplication,
@@ -33,7 +33,7 @@ __all__ = [
     "MinimizerRule", "MultInstance", "NoInterpolationRule",
     "NotIdentifiable", "ParamEnv", "ParamSet",
     "Rational", "RealizationInput", "ResolutionError", "SCALARS", "Scale",
-    "SpaceDescr", "Status", "TargetSpace", "TraceEntry", "UncoveredInstance",
+    "SpaceDescr", "Status", "TargetSpace", "TraceEntry",
     "Unsupported", "Verdict", "WrongScale", "X", "decide_algebra",
     "decide_multiplication", "decide_multiplier", "decide_nemytskij",
     "embeds", "interpolate_complex",

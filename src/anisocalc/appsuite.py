@@ -117,10 +117,6 @@ class SuiteReport:
     footnotes: tuple[str, ...]
 
     @property
-    def all_match(self) -> bool:
-        return all(t.matches_expected in (True, None) for t in self.terms)
-
-    @property
     def all_covered(self) -> bool:
         return all(t.decision is not None and t.decision.covered
                    for t in self.terms)

@@ -70,9 +70,6 @@ class Decision:
                 return e
         return None
 
-    def failed_labels(self) -> list[str]:
-        return [e.label for e in self.trace if e.status is Status.FAIL]
-
 
 @dataclass
 class ConditionLog:

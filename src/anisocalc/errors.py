@@ -54,8 +54,3 @@ class WrongScale(EngineError):
 class ResolutionError(EngineError):
     """The grid does not resolve enough decades of difference steps for the
     quadrature to be meaningful."""
-
-
-class UncoveredInstance(EngineError):
-    """A numerical probe was requested for an instance that the decision
-    engine does not cover; there is no estimate to test."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .errors import InfeasibleRange
 from .ratcore import Rational
@@ -55,10 +54,6 @@ class RealizationInput:
         upper = sum(_neg_part(s - p) for s, p in zip(self.sigma, self.pi))
         return lower <= -self.rho <= upper
 
-    def strict_upper(self) -> bool:
-        upper = sum(_neg_part(s - p) for s, p in zip(self.sigma, self.pi))
-        return -self.rho < upper
-
 
 def realize_exponents(inp: RealizationInput) -> list[Fraction]:
     """Split the target sum rho into exponents rho_j with
@@ -82,30 +77,6 @@ def realize_exponents(inp: RealizationInput) -> list[Fraction]:
     phi1 = sum(hi)
     theta = (Fraction(inp.rho) - phi0) / (phi1 - phi0)
     return [(1 - theta) * a + theta * b for a, b in zip(lo, hi)]
-
-
-def check_realization(inp: RealizationInput, rho_j: Sequence[Fraction]) -> bool:
-    """Constraint checker: box constraints, exact sum, and the strictness
-    clause when the upper range inequality is strict."""
-    if len(rho_j) != inp.m:
-        return False
-    for r, s, p in zip(rho_j, inp.sigma, inp.pi):
-        if not (0 <= r < 1 and -p <= -r <= s - p):
-            return False
-    if sum(rho_j) != inp.rho:
-        return False
-    for r, s, p in zip(rho_j, inp.sigma, inp.pi):
-        if s < p and not r > 0:
-            return False
-        if s > p and not -r < s - p:
-            return False
-    if inp.strict_upper():
-        for r, s, p in zip(rho_j, inp.sigma, inp.pi):
-            if not r > 0:
-                return False
-            if s != 0 and not -r < s - p:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -141,36 +112,6 @@ class MinimizerRule:
     m_zero: frozenset[int]
     m_minus: frozenset[int]
     m_star: frozenset[int]        # argmin set of sigma_j - pi_j
-
-    def is_minimizer(self, nu: Sequence[int]) -> bool:
-        if any(v < 0 for v in nu) or sum(nu) > self.n:
-            return False
-        if self.case == "all":
-            return True
-        if sum(nu) != self.n:
-            return False
-        positive_support = {j for j, v in enumerate(nu, start=1)
-                            if v > 0 and j in self.m_plus}
-        if self.case == "off-positive":
-            return not positive_support
-        return positive_support <= self.m_star and len(positive_support) <= 1
-
-
-def phi_value(d: Sequence[Fraction], nu: Sequence[int]) -> Fraction:
-    """phi(nu) = sum_j [d_j - nu_j]_- for d_j = sigma_j - pi_j."""
-    return sum((_neg_part(dj - vj) for dj, vj in zip(d, nu)), Fraction(0))
-
-
-def compositions_up_to(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All integer vectors of length m with nonnegative entries summing to
-    at most n (the brute-force oracle domain)."""
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 0:
-            yield prefix
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v, slots - 1)
-    yield from rec((), n, m)
 
 
 def minimize_phi(inp: MinimizationInput) -> tuple[Fraction, MinimizerRule]:

@@ -18,9 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (ResolutionError, UncoveredInstance, Unsupported,
-                     WrongScale)
-from .multiply import MultInstance, decide_multiplication
+from .errors import ResolutionError, Unsupported, WrongScale
 from .spaces import Scale, SpaceDescr
 
 _NODES_PER_DECADE = 16
@@ -374,60 +372,6 @@ def _seminorm_for(space: SpaceDescr
         _besov_plans(space)
         return seminorm_besov
     raise WrongScale(f"no difference-quotient seminorm on the {space.scale} scale")
-
-
-def full_norm(u: GridFunction, space: SpaceDescr) -> float:
-    """Lebesgue part plus seminorm, the norm used by the product probes."""
-    _, p = _space_params(space)
-    _require_grid(u, space)
-    pf = float(p)
-    lp = float((np.sum(np.abs(u.samples) ** pf) * u.cell_volume()) ** (1 / pf))
-    if space.scale is Scale.L or (space.s.is_constant and space.s.constant == 0):
-        return lp
-    return (lp ** pf + _seminorm_for(space)(u, space).value ** pf) ** (1 / pf)
-
-
-@dataclass
-class ProductProbeStats:
-    ratios: list[float]
-    max_ratio: float
-    min_ratio: float
-
-    @property
-    def growth(self) -> float:
-        return self.max_ratio / self.min_ratio if self.min_ratio > 0 else math.inf
-
-
-def check_product_estimate(inst: MultInstance,
-                           family: list[tuple[GridFunction, ...]],
-                           ) -> ProductProbeStats:
-    """Ratio statistics of the product estimate over a family of tuples.
-
-    Refuses instances the decision engine does not cover; boundedness of
-    the returned ratios is exactly what the estimate claims.
-    """
-    verdict = decide_multiplication(inst)
-    if not verdict.covered:
-        fail = verdict.first_failure()
-        raise UncoveredInstance(
-            "no estimate to test: instance not covered"
-            + (f" (first failed condition: {fail.label})" if fail else ""))
-    ratios = []
-    for tup in family:
-        if len(tup) != inst.m:
-            raise ValueError("family tuples must match the instance arity")
-        prod = tup[0].samples.copy()
-        for g in tup[1:]:
-            if g.samples.shape != prod.shape:
-                raise ValueError("family members must share one grid")
-            prod = prod * g.samples
-        num = full_norm(GridFunction(tup[0].slice_dims, tup[0].spacings,
-                                     prod, tup[0].decay_radius), inst.target)
-        den = 1.0
-        for g, f in zip(tup, inst.factors):
-            den *= full_norm(g, f)
-        ratios.append(num / den if den > 0 else math.inf)
-    return ProductProbeStats(ratios, max(ratios), min(ratios))
 
 
 def dilated_seminorms(space: SpaceDescr, gauss: GaussianSpec,

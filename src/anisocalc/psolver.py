@@ -14,7 +14,6 @@ midpoint otherwise: a solve makes exactly 2 * breakpoints + 1 evaluations.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,15 +106,6 @@ class ParamSet:
         return ParamSet((Interval(Fraction(lo), lo_closed, Fraction(hi),
                                   hi_closed),))
 
-    @staticmethod
-    def p_range(lo: Rational, lo_closed: bool = False,
-                hi: Rational | None = None,
-                hi_closed: bool = False) -> "ParamSet":
-        """Build from a p-interval; ``hi = None`` means p unbounded above."""
-        x_hi = Fraction(1, 1) / Fraction(lo)
-        x_lo = Fraction(0) if hi is None else Fraction(1, 1) / Fraction(hi)
-        return ParamSet((Interval(x_lo, hi_closed, x_hi, lo_closed),))
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -181,52 +171,6 @@ class ParamSet:
                          for e in self.excluded],
             "p": self.describe_p(),
         }
-
-    def sample_inside(self, rng: random.Random, count: int) -> list[Fraction]:
-        if self.is_empty:
-            return []
-        out: list[Fraction] = []
-        guard = 0
-        while len(out) < count and guard < 100 * count:
-            guard += 1
-            iv = rng.choice(self.intervals)
-            if iv.lo == iv.hi:
-                x = iv.lo
-            else:
-                den = rng.randrange(101, 1009)
-                num = rng.randrange(1, den)
-                x = iv.lo + (iv.hi - iv.lo) * Fraction(num, den)
-            if self.contains(x):
-                out.append(x)
-        return out
-
-    def sample_outside(self, rng: random.Random, count: int) -> list[Fraction]:
-        """Samples in (0, 1) outside the set and off the excluded points."""
-        gaps = self._gaps()
-        if not gaps:
-            return []
-        out: list[Fraction] = []
-        guard = 0
-        while len(out) < count and guard < 100 * count:
-            guard += 1
-            lo, hi = rng.choice(gaps)
-            if lo == hi:
-                continue
-            den = rng.randrange(101, 1009)
-            num = rng.randrange(1, den)
-            x = lo + (hi - lo) * Fraction(num, den)
-            if 0 < x < 1 and not self.contains(x) and \
-                    all(not iv.contains(x) for iv in self.intervals):
-                out.append(x)
-        return out
-
-    def _gaps(self) -> list[tuple[Fraction, Fraction]]:
-        bounds = [Fraction(0)]
-        for iv in self.intervals:
-            bounds.extend((iv.lo, iv.hi))
-        bounds.append(Fraction(1))
-        return [(bounds[i], bounds[i + 1]) for i in range(0, len(bounds), 2)
-                if bounds[i] < bounds[i + 1]]
 
 
 @dataclass

@@ -79,12 +79,6 @@ class AffineExpr:
             raise Unsupported(f"expression {self} is not constant in x = 1/p")
         return self.constant
 
-    def root(self) -> Fraction | None:
-        """The unique zero of the form, or None for constant forms."""
-        if self.slope == 0:
-            return None
-        return -self.constant / self.slope
-
     def __str__(self) -> str:
         return render_affine_x(self)
 

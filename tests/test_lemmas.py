@@ -6,8 +6,9 @@ import pytest
 
 from anisocalc import (InfeasibleRange, MinimizationInput, RealizationInput,
                        minimize_phi, realize_exponents)
-from anisocalc.lemmas import (check_realization, compositions_up_to,
-                              phi_value)
+
+from reference import (check_realization, compositions_up_to, is_minimizer,
+                       phi_value)
 
 
 def test_realize_all_caps_zero():
@@ -122,7 +123,7 @@ def test_minimize_all_case():
     inp = MinimizationInput((F(5), F(6)), (F(1), F(2)), 2)
     val, rule = minimize_phi(inp)
     assert val == 0 and rule.case == "all"
-    assert rule.is_minimizer((0, 0)) and rule.is_minimizer((1, 1))
+    assert is_minimizer(rule, (0, 0)) and is_minimizer(rule, (1, 1))
 
 
 def test_minimize_negative_case():
@@ -130,9 +131,9 @@ def test_minimize_negative_case():
     val, rule = minimize_phi(inp)
     assert val == F(-3)
     assert rule.case == "off-positive"
-    assert rule.is_minimizer((0, 2))
-    assert not rule.is_minimizer((1, 1))
-    assert not rule.is_minimizer((0, 1))  # total order below 2
+    assert is_minimizer(rule, (0, 2))
+    assert not is_minimizer(rule, (1, 1))
+    assert not is_minimizer(rule, (0, 1))  # total order below 2
 
 
 def test_minimize_everywhere_flat_case():
@@ -141,7 +142,7 @@ def test_minimize_everywhere_flat_case():
     val, rule = minimize_phi(inp)
     assert val == 0
     assert rule.case == "all"
-    assert all(rule.is_minimizer(nu) for nu in ((0, 0), (1, 0), (0, 1)))
+    assert all(is_minimizer(rule, nu) for nu in ((0, 0), (1, 0), (0, 1)))
 
 
 def test_minimize_concentration_case():
@@ -150,10 +151,10 @@ def test_minimize_concentration_case():
     val, rule = minimize_phi(inp)
     assert val == F(-2)
     assert rule.case == "one-concentration"
-    assert rule.is_minimizer((3, 0))
-    assert not rule.is_minimizer((0, 3))
-    assert not rule.is_minimizer((2, 1))
-    assert not rule.is_minimizer((0, 0))
+    assert is_minimizer(rule, (3, 0))
+    assert not is_minimizer(rule, (0, 3))
+    assert not is_minimizer(rule, (2, 1))
+    assert not is_minimizer(rule, (0, 0))
 
 
 def _brute(inp: MinimizationInput):
@@ -182,4 +183,4 @@ def test_minimize_matches_brute_force_small(rng):
         assert val == brute_val, inp
         argset = set(argmins)
         for nu in compositions_up_to(m, n):
-            assert rule.is_minimizer(nu) == (nu in argset), (inp, nu)
+            assert is_minimizer(rule, nu) == (nu in argset), (inp, nu)

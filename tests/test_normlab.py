@@ -16,15 +16,14 @@ import anisocalc
 from anisocalc import (SCALARS, MultInstance, SpaceDescr, isotropic,
                        normlab, parabolic)
 from anisocalc.dsl import parse_space
-from anisocalc.errors import (ResolutionError, UncoveredInstance, Unsupported,
-                              WrongScale)
+from anisocalc.errors import ResolutionError, Unsupported, WrongScale
 from anisocalc.normlab import (GaussianSpec, GridFunction,
                                _difference_power_sum, _difference_square_sums,
-                               check_product_estimate, dilated_seminorms,
-                               dilation_scaling_exponent, full_norm,
+                               dilated_seminorms, dilation_scaling_exponent,
                                seminorm_besov, seminorm_slobodeckij)
 
 from conftest import run_cli
+from reference import UncoveredInstance, check_product_estimate, full_norm
 
 ISO1 = isotropic(1)
 W12 = SpaceDescr.sobolev(F(1, 2), F(1, 2), ISO1, SCALARS, "R^1")

@@ -13,6 +13,8 @@ from anisocalc.ratcore import (AffineExpr, BreakpointRecorder, ParamEnv, X,
                                multiples_in_unit_interval, render_affine_p,
                                render_affine_x)
 
+from reference import affine_root
+
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
 
@@ -72,7 +74,7 @@ def test_compare_agrees_with_pointwise_on_random_points(rng):
     for _ in range(50):
         e = AffineExpr(F(rng.randint(-8, 8), rng.randint(1, 9)),
                        F(rng.randint(-8, 8), rng.randint(1, 9)))
-        root = e.root()
+        root = affine_root(e)
         roots = {root} if root is not None and 0 < root < 1 else set()
         for _ in range(20):
             den = rng.randint(2, 997)
@@ -157,7 +159,7 @@ def test_recorded_comparisons_match_fraction_reference(case):
     diff = lhs - rhs
     v = diff(w)
     want = (v > 0) - (v < 0)
-    root = diff.root()
+    root = affine_root(diff)
     roots = {root} if root is not None and 0 < root < 1 else set()
     for op, expect in (("cmp", want), ("sign", want), ("lt", want < 0),
                        ("le", want <= 0), ("gt", want > 0),
@@ -175,7 +177,7 @@ def test_recorded_comparisons_match_fraction_reference(case):
     total = lhs + rhs + X
     assert ParamEnv(w, rec).sum_sign(terms, rhs) == \
         ParamEnv(w).sum_sign(terms, rhs) == ParamEnv(w).sign(total - rhs)
-    r = (total - rhs).root()
+    r = affine_root(total - rhs)
     assert rec.points == ({r} if r is not None and 0 < r < 1 else set())
 
 
