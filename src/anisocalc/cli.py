@@ -143,6 +143,8 @@ def _minimize(args: argparse.Namespace) -> int:
 
 
 def _seminorm(args: argparse.Namespace) -> int:
+    if args.csv is not None and (args.dilations is None or args.machine):
+        raise ValueError("--csv needs --dilations and excludes --machine")
     from . import normlab  # numpy loads only for this command
 
     space = dsl.parse_space(args.space, _load_prelude(args.prelude))

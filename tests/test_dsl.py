@@ -128,6 +128,29 @@ def test_dsl_reads_text_through_compiled_patterns():
     assert outside == set(), f"dsl.py subscripts text at lines {outside}"
 
 
+def _imports(module) -> tuple[set[str], set[str]]:
+    """The package modules and the other top-level modules a module imports."""
+    ours, others = set(), set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            ours.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            others.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            others.update(a.name.split(".")[0] for a in node.names)
+    return ours, others
+
+
+def test_library_keeps_no_test_oracles():
+    # the brute-force checkers, samplers and product probes live in
+    # tests/reference.py: the numeric lab reads no rule module and the
+    # solver draws no random numbers
+    from anisocalc import normlab, psolver
+
+    assert _imports(normlab)[0] == {"errors", "spaces"}
+    assert "random" not in _imports(psolver)[1]
+
+
 def test_custom_prelude():
     prelude = parse_prelude("Omega = 3\nGamma = 1x2\n")
     sp = parse_space("H^{2,(1,1,1)}_2(JxGamma)", prelude)
@@ -284,6 +307,11 @@ _EXIT_CASES = [
                  id="seminorm-freq-overflow"),
     pytest.param(["seminorm", "--space", _W, "--dilations", "1,1e400"], 2,
                  id="seminorm-dilation-overflow"),
+    pytest.param(["seminorm", "--space", _W, "--spacing", "1/10", "--radius",
+                  "5", "--csv", os.devnull], 2, id="seminorm-csv-no-dilations"),
+    pytest.param(["seminorm", "--space", _W, "--spacing", "1/10", "--radius",
+                  "5", "--dilations", "1,2", "--csv", os.devnull, "--machine"],
+                 2, id="seminorm-csv-machine"),
     pytest.param(["realize", "--sigma", "1/0", "--pi", "1/2", "--rho", "1/2"],
                  2, id="realize-zero-denominator"),
     pytest.param(["app", "stefan", "--n", "3", "--p", "0"], 2, id="app-p"),
@@ -312,6 +340,10 @@ _EXIT_CASES = [
                  3, id="interp-symbolic-zero-order-at-p2"),
     pytest.param(["interp", "[W^{2-2/p,(1)}_p(R^1), W^{3,(1)}_p(R^1)]_{1/2}"],
                  3, id="interp-symbolic-w-to-h-at-p2"),
+    pytest.param(["interp", "(H^{1,(1)}_2(R^1), H^{1,(1)}_4(R^1))_{1/2, 2}"],
+                 3, id="real-h-pair-equal-smoothness-uncoupled"),
+    pytest.param(["solve-p", "solve p: index H^{1,(1)}_p(R^1)"], 3,
+                 id="solve-index"),
     pytest.param(["interp", "[H^{1,(1)}_p(R^1), H^{3,(1)}_p(R^1)]_{1/2}"], 0,
                  id="interp-symbolic-uniform"),
     pytest.param(["seminorm", "--space", "W^{3/4,(1)}_2(R^1)", "--dilations",

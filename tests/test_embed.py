@@ -179,6 +179,14 @@ def test_real_interpolation_coupled_parameter():
     # 1/p = 3/8 and micro combo (1/4 + 1/2)/2 = 3/8: admissible
     out = interpolate_real(ok_a, ok_b, F(1, 2), COUPLED)
     assert out.x == AffineExpr(F(3, 8)) and out.y is None
+    # Bessel pairs of equal smoothness interpolate the integrability, and
+    # only with the coupled parameter
+    h2 = parse_space("H^{1,(1)}_2(R^1)")
+    h4 = parse_space("H^{1,(1)}_4(R^1)")
+    out = interpolate_real(h2, h4, F(1, 2), COUPLED)
+    assert str(out) == "H^{1,(1)}_{8/3}(R^1)"
+    with pytest.raises(NoInterpolationRule):
+        interpolate_real(h2, h4, F(1, 2), F(2))
 
 
 def test_interpolation_convex_combinations_exact(rng):
