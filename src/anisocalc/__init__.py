@@ -10,8 +10,7 @@ from .embed import (COUPLED, Decision, Status, TraceEntry, Verdict, embeds,
                     interpolate_complex, interpolate_real)
 from .errors import (ClosureFromUncovered, EngineError, HypothesisViolation,
                      IncompatibleSpaces, InfeasibleRange, NoInterpolationRule,
-                     NotIdentifiable, ResolutionError, Unsupported,
-                     WrongScale)
+                     NotIdentifiable, ResolutionError, Unsupported, WrongScale)
 from .lemmas import (MinimizationInput, MinimizerRule, RealizationInput,
                      minimize_phi, realize_exponents)
 from .multiply import (MultInstance, decide_algebra, decide_multiplication,

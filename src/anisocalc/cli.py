@@ -234,8 +234,9 @@ COMMANDS = {
                      ("--radius", dict(type=float, help="grid half-width")),
                      ("--dilations", dict(help="comma-separated dilation "
                                           "parameters for a scaling table")),
-                     ("--csv", dict(metavar="PATH", help="write the (lambda, "
-                                    "seminorm) table as CSV")),
+                     ("--csv", dict(metavar="PATH", help="write the "
+                                    "--dilations table as CSV (not with "
+                                    "--machine)")),
                      _PRELUDE, _MACHINE]),
     "app": (_app, "Run a built-in application checklist.", [
         ("problem", dict(choices=["stefan", "nvs"])),

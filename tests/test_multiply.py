@@ -153,7 +153,8 @@ def test_subset_index_signs_match_fraction_subset_sums(case):
     diffs = [sum((e for j, e in enumerate(inds) if mask >> j & 1),
                  AffineExpr()) - ind for mask in range(1, 1 << len(inds))]
     want = [(d(w) > 0) - (d(w) < 0) for d in diffs]
-    roots = {r for d in diffs if (r := affine_root(d)) is not None and 0 < r < 1}
+    roots = {r for d in diffs
+             if (r := affine_root(d)) is not None and 0 < r < 1}
     assert _subset_index_signs(ind, inds, ParamEnv(w)) == want
     rec = BreakpointRecorder()
     assert _subset_index_signs(ind, inds, ParamEnv(w, rec)) == want
