@@ -11,7 +11,7 @@ from anisocalc import (COUPLED, AffineExpr, Anisotropy, ParamEnv, Scale,
                        SpaceDescr, Status, Verdict, X, embeds,
                        interpolate_complex, interpolate_real, isotropic,
                        parabolic, sobolev_index)
-from anisocalc.dsl import parse_space
+from anisocalc.dsl import parse_query, parse_space, run
 from anisocalc.embed import ConditionLog
 from anisocalc.ratcore import BreakpointRecorder
 from anisocalc.errors import (IncompatibleSpaces, NoInterpolationRule,
@@ -111,6 +111,33 @@ def test_c0_detour_for_off_micro_besov():
     d = embeds(sp, _c0_like(sp))
     assert d.verdict is Verdict.COVERED
     assert any(e.anchor == "embed.detour" for e in d.trace)
+    # a Lebesgue target: the equal-index micro-scale condition of b-l fails
+    # (q < p), and a b-h leg whose equal-index condition passes bridges it
+    d = embeds(parse_space("B^{1/4,(1)}_2_{5/2}(R^1)"),
+               parse_space("L^{(1)}_4(R^1)"))
+    assert d.verdict is Verdict.COVERED
+    na, ok = Status.NOT_APPLICABLE, Status.PASS
+    assert [(e.anchor, e.status, e.note) for e in d.trace] == [
+        ("embed.b-l", na, "superseded"),
+        ("embed.b-l", na, "superseded"),
+        ("embed.b-l", na, "superseded"),
+        ("embed.b-l", na, "equal; superseded"),
+        ("embed.b-l", na, "micro-scale and finiteness at equal index; "
+                          "superseded"),
+        ("embed.detour", ok, "via H^{1/8,(1)}_{8/3}(R^1)"),
+        ("embed.b-h", ok, ""),
+        ("embed.b-h", ok, ""),
+        ("embed.b-h", ok, ""),
+        ("embed.b-h", ok, "equal"),
+        ("embed.b-h", ok, "micro-scale comparison at equal index"),
+        ("embed.h-l", ok, ""),
+        ("embed.h-l", ok, ""),
+        ("embed.h-l", ok, ""),
+        ("embed.h-l", ok, "equal"),
+        ("embed.h-l", ok, "finite exponent at equal index")]
+    ps = run(parse_query(
+        "solve p: B^{1/4,(1)}_p_{5/2}(R^1) -> L^{(1)}_4(R^1) ?")).param_set
+    assert ps.describe_p() == "[2, 4]"
 
 
 def test_complex_interpolation_examples():
