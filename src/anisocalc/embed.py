@@ -131,68 +131,53 @@ def _index_condition(log: ConditionLog, label: str, anchor: str,
 # pairwise embedding rules
 
 
-def _rule_b_b(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
+#: (source, target) scale of a Besov/Bessel-potential pair -> anchor, label
+#: of the exponent-range check, label of the condition at equal index (none
+#: for H -> H, where the order of the exponents implies it)
+_BH_PAIRS = {
+    (Scale.B, Scale.B): ("embed.b-b", "integrability exponents in [1, oo]",
+                         "index strict or micro-scale does not decrease"),
+    (Scale.H, Scale.H): ("embed.h-h", "integrability exponents in (1, oo)",
+                         None),
+    (Scale.B, Scale.H): ("embed.b-h", "integrability exponents admissible",
+                         "index strict or micro-scale at most target "
+                         "integrability"),
+    (Scale.H, Scale.B): ("embed.h-b", "integrability exponents admissible",
+                         "index strict or source integrability at most "
+                         "target micro-scale"),
+}
+
+
+def _admissible(sp: SpaceDescr, env: ParamEnv) -> bool:
+    """1 < p < oo, and p = oo too on the Besov scale."""
+    return (env.ge(sp.x, 0) if sp.scale is Scale.B else env.gt(sp.x, 0)) \
+        and env.lt(sp.x, 1)
+
+
+def _fine(sp: SpaceDescr) -> AffineExpr:
+    """The fine exponent: the micro-scale on B, the integrability on H."""
+    return sp.micro() if sp.scale is Scale.B else sp.x
+
+
+def _rule_besov_bessel(src: SpaceDescr, dst: SpaceDescr,
+                       env: ParamEnv) -> ConditionLog:
+    """The embedding theorem between the Besov and the Bessel-potential
+    scales, for all four pairs of them."""
+    a, range_label, equal_label = _BH_PAIRS[src.scale, dst.scale]
     log = ConditionLog()
-    a = "embed.b-b"
-    log.check("integrability exponents in [1, oo]", a,
-              env.ge(src.x, 0) and env.lt(src.x, 1) and
-              env.ge(dst.x, 0) and env.lt(dst.x, 1))
-    log.check("smoothness does not increase", a, env.le(dst.s, src.s))
+    log.check(range_label, a, _admissible(src, env) and _admissible(dst, env))
+    if src.scale is dst.scale:
+        log.check("smoothness does not increase", a, env.le(dst.s, src.s))
+    else:
+        log.check("smoothness strictly drops", a, env.lt(dst.s, src.s))
     log.check("integrability exponent does not decrease", a,
               env.ge(src.x, dst.x))
     strict = _index_condition(log, "index does not increase", a,
                               sobolev_index(src), sobolev_index(dst), env)
-    log.check_or_skip(strict, "index strict or micro-scale does not decrease",
-                      a, lambda: env.ge(src.micro(), dst.micro()),
-                      "micro-scale comparison at equal index")
-    return log
-
-
-def _rule_h_h(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
-    log = ConditionLog()
-    a = "embed.h-h"
-    log.check("integrability exponents in (1, oo)", a,
-              env.gt(src.x, 0) and env.lt(src.x, 1) and
-              env.gt(dst.x, 0) and env.lt(dst.x, 1))
-    log.check("smoothness does not increase", a, env.le(dst.s, src.s))
-    log.check("integrability exponent does not decrease", a,
-              env.ge(src.x, dst.x))
-    _index_condition(log, "index does not increase", a,
-                     sobolev_index(src), sobolev_index(dst), env)
-    return log
-
-
-def _rule_b_h(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
-    log = ConditionLog()
-    a = "embed.b-h"
-    log.check("integrability exponents admissible", a,
-              env.ge(src.x, 0) and env.lt(src.x, 1) and
-              env.gt(dst.x, 0) and env.lt(dst.x, 1))
-    log.check("smoothness strictly drops", a, env.lt(dst.s, src.s))
-    log.check("integrability exponent does not decrease", a,
-              env.ge(src.x, dst.x))
-    strict = _index_condition(log, "index does not increase", a,
-                              sobolev_index(src), sobolev_index(dst), env)
-    log.check_or_skip(strict, "index strict or micro-scale at most target "
-                      "integrability", a, lambda: env.ge(src.micro(), dst.x),
-                      "micro-scale comparison at equal index")
-    return log
-
-
-def _rule_h_b(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
-    log = ConditionLog()
-    a = "embed.h-b"
-    log.check("integrability exponents admissible", a,
-              env.gt(src.x, 0) and env.lt(src.x, 1) and
-              env.ge(dst.x, 0) and env.lt(dst.x, 1))
-    log.check("smoothness strictly drops", a, env.lt(dst.s, src.s))
-    log.check("integrability exponent does not decrease", a,
-              env.ge(src.x, dst.x))
-    strict = _index_condition(log, "index does not increase", a,
-                              sobolev_index(src), sobolev_index(dst), env)
-    log.check_or_skip(strict, "index strict or source integrability at most "
-                      "target micro-scale", a, lambda: env.le(dst.micro(), src.x),
-                      "micro-scale comparison at equal index")
+    if equal_label is not None:
+        log.check_or_skip(strict, equal_label, a,
+                          lambda: env.ge(_fine(src), _fine(dst)),
+                          "micro-scale comparison at equal index")
     return log
 
 
@@ -243,10 +228,7 @@ def _rule_c0(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> ConditionLog:
 
 
 _RULES = {
-    (Scale.B, Scale.B): _rule_b_b,
-    (Scale.H, Scale.H): _rule_h_h,
-    (Scale.B, Scale.H): _rule_b_h,
-    (Scale.H, Scale.B): _rule_h_b,
+    **dict.fromkeys(_BH_PAIRS, _rule_besov_bessel),
     (Scale.H, Scale.L): _rule_h_l,
     (Scale.B, Scale.L): _rule_b_l,
     (Scale.B, Scale.C0): _rule_c0,
@@ -305,29 +287,26 @@ def embeds_in(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> Decision:
     # a Lebesgue source is the zero-order Bessel-potential space (for
     # 1 < p < oo only); dedicated target rules keep the adapted index and
     # the r = oo endpoint
-    if src_n.scale is Scale.L and \
-            not (env.gt(src_n.x, 0) and env.lt(src_n.x, 1)):
-        log = ConditionLog()
-        log.check("Lebesgue source is H^0_p only for 1 < p < oo",
-                  "space.zero-order", False, f"source {src_n}")
-        return log.decision()
-    src_eff = src_n.with_(scale=Scale.H) if src_n.scale is Scale.L else src_n
-    key = (src_eff.scale, dst_n.scale)
-    rule = _RULES.get(key)
+    if src_n.scale is Scale.L:
+        if not (env.gt(src_n.x, 0) and env.lt(src_n.x, 1)):
+            log = ConditionLog()
+            log.check("Lebesgue source is H^0_p only for 1 < p < oo",
+                      "space.zero-order", False, f"source {src_n}")
+            return log.decision()
+        src_n = src_n.with_(scale=Scale.H)
+    rule = _RULES.get((src_n.scale, dst_n.scale))
     if rule is None:
         log = ConditionLog()
         log.check("rule available for the scale pair", "embed.dispatch", False,
                   f"no rule for {src_n.scale} -> {dst_n.scale}")
         return log.decision()
-    src_n = src_eff
 
     direct = rule(src_n, dst_n, env)
     if direct.ok:
         return direct.decision()
 
     mid = _detour_intermediate(src_n, dst_n, env)
-    if mid is not None and (mid.scale, dst_n.scale) in _RULES and \
-            (src_n.scale, mid.scale) in _RULES and mid != src_n and mid != dst_n:
+    if mid is not None and mid != src_n and mid != dst_n:
         leg1 = _RULES[(src_n.scale, mid.scale)](src_n, mid, env)
         leg2 = _RULES[(mid.scale, dst_n.scale)](mid, dst_n, env)
         if leg1.ok and leg2.ok:
@@ -351,35 +330,40 @@ def _convex(a: AffineExpr, b: AffineExpr, theta: Fraction) -> AffineExpr:
     return a * (1 - theta) + b * theta
 
 
-def _as_h0(space: SpaceDescr) -> SpaceDescr:
-    if space.scale is not Scale.L:
-        return space
-    if space.x.is_constant and not 0 < space.x.constant < 1:
-        raise NoInterpolationRule(
-            f"{space} is the zero-order Bessel-potential space only for "
-            f"1 < p < oo")
-    return space.with_(scale=Scale.H)
-
-
-def interpolate_complex(a: SpaceDescr, b: SpaceDescr,
-                        theta: Rational) -> SpaceDescr:
-    """Complex interpolation of a matching pair of descriptors."""
+def _operands(a: SpaceDescr, b: SpaceDescr, theta: Rational
+              ) -> tuple[Fraction, SpaceDescr, SpaceDescr]:
+    """θ in (0, 1) and the normalized operands of an interpolation on one
+    structure, a Lebesgue operand as H^0_p unless both are Lebesgue."""
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("interpolation parameter must lie in (0, 1)")
     if a.aniso != b.aniso or a.domain_label != b.domain_label or \
             a.target != b.target:
         raise NoInterpolationRule("operands live on different structures")
-    a0, b0 = normalize(a), normalize(b)
+    ops = normalize(a), normalize(b)
+    if ops[0].scale is Scale.L and ops[1].scale is Scale.L:
+        return theta, *ops
+    for sp in ops:
+        if sp.scale is Scale.L and sp.x.is_constant and \
+                not 0 < sp.x.constant < 1:
+            raise NoInterpolationRule(
+                f"{sp} is the zero-order Bessel-potential space only for "
+                f"1 < p < oo")
+    return theta, *(sp.with_(scale=Scale.H) if sp.scale is Scale.L else sp
+                    for sp in ops)
+
+
+def interpolate_complex(a: SpaceDescr, b: SpaceDescr,
+                        theta: Rational) -> SpaceDescr:
+    """Complex interpolation of a matching pair of descriptors."""
+    theta, a0, b0 = _operands(a, b, theta)
     if a0.scale is Scale.L and b0.scale is Scale.L:
         return a0.with_(x=_convex(a0.x, b0.x, theta))
-    a0, b0 = _as_h0(a0), _as_h0(b0)
     if a0.scale is Scale.B and b0.scale is Scale.B:
         y = _convex(a0.micro(), b0.micro(), theta)
-        out = SpaceDescr(Scale.B, _convex(a0.s, b0.s, theta),
-                         _convex(a0.x, b0.x, theta),
-                         y.constant_value() if y.is_constant else None,
-                         a0.aniso, a0.target, a0.domain_label)
+        out = a0.with_(s=_convex(a0.s, b0.s, theta),
+                       x=_convex(a0.x, b0.x, theta),
+                       y=y.constant_value() if y.is_constant else None)
         if not y.is_constant and y != out.x:
             raise NoInterpolationRule("symbolic micro-scale cannot be carried")
         return normalize(out)
@@ -402,52 +386,36 @@ def interpolate_real(a: SpaceDescr, b: SpaceDescr, theta: Rational,
     ``q`` is the functor's second parameter; the sentinel :data:`COUPLED`
     means the functor parameter equals the interpolated integrability.
     """
-    theta = Fraction(theta)
-    if not 0 < theta < 1:
-        raise ValueError("interpolation parameter must lie in (0, 1)")
-    if a.aniso != b.aniso or a.domain_label != b.domain_label or \
-            a.target != b.target:
-        raise NoInterpolationRule("operands live on different structures")
-    a0, b0 = normalize(a), normalize(b)
+    theta, a0, b0 = _operands(a, b, theta)
     if a0.scale is Scale.L and b0.scale is Scale.L:
         if q is not COUPLED:
             raise NoInterpolationRule(
                 "Lebesgue pairs interpolate with coupled functor parameter")
         return a0.with_(x=_convex(a0.x, b0.x, theta))
-    a0, b0 = _as_h0(a0), _as_h0(b0)
+    if a0.scale is b0.scale and a0.scale in (Scale.H, Scale.B) and \
+            a0.x == b0.x and a0.s != b0.s:
+        # fixed p, distinct s: B^{(1-θ)s0+θs1}_{p,q} on either scale
+        if q is COUPLED:
+            y = a0.x.constant_value() if a0.x.is_constant else None
+        else:
+            y = Fraction(0) if q == 0 else 1 / Fraction(q)  # 0 stands for oo
+        return normalize(a0.with_(scale=Scale.B, y=y,
+                                  s=_convex(a0.s, b0.s, theta)))
     if a0.scale is Scale.H and b0.scale is Scale.H:
-        if a0.x == b0.x and a0.s != b0.s:
-            if q is COUPLED:
-                yq = a0.x
-            else:
-                yq = AffineExpr.of(Fraction(0) if Fraction(q) == 0 else 1 / Fraction(q))
-            out = SpaceDescr(Scale.B, _convex(a0.s, b0.s, theta), a0.x,
-                             yq.constant_value() if yq.is_constant else None,
-                             a0.aniso, a0.target, a0.domain_label)
-            return normalize(out)
         if a0.s == b0.s and q is COUPLED:
             return a0.with_(x=_convex(a0.x, b0.x, theta))
         raise NoInterpolationRule(
             "Bessel-potential pairs interpolate at fixed integrability with "
             "distinct smoothness, or fixed smoothness with coupled parameter")
     if a0.scale is Scale.B and b0.scale is Scale.B:
-        if a0.x == b0.x and a0.s != b0.s:
-            if q is COUPLED:
-                y = a0.x.constant_value() if a0.x.is_constant else None
-            else:
-                y = Fraction(0) if Fraction(q) == 0 else 1 / Fraction(q)
-            return normalize(SpaceDescr(Scale.B, _convex(a0.s, b0.s, theta),
-                                        a0.x, y, a0.aniso, a0.target,
-                                        a0.domain_label))
         if q is COUPLED:
             x = _convex(a0.x, b0.x, theta)
             if _convex(a0.micro(), b0.micro(), theta) != x:
                 raise NoInterpolationRule(
                     "coupled functor parameter requires the micro-scales to "
                     "satisfy the same convex relation as the integrability")
-            return normalize(SpaceDescr(Scale.B, _convex(a0.s, b0.s, theta),
-                                        x, None, a0.aniso, a0.target,
-                                        a0.domain_label))
+            return normalize(a0.with_(s=_convex(a0.s, b0.s, theta), x=x,
+                                      y=None))
         raise NoInterpolationRule(
             "Besov pairs interpolate at fixed integrability with distinct "
             "smoothness, or with coupled functor parameter")

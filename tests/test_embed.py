@@ -391,6 +391,20 @@ def test_premise_gated_conditions_have_one_mechanism():
         assert found == [], f"{name}.py forks a condition by hand: {found}"
 
 
+def test_besov_bessel_pairs_have_one_rule():
+    # the four pairs of the B and H scales share one statement of the
+    # embedding theorem; a table holds what differs between the pairs
+    from anisocalc import embed
+    pairs = [(a, b) for a in (Scale.B, Scale.H) for b in (Scale.B, Scale.H)]
+    assert len({embed._RULES[pair] for pair in pairs}) == 1
+    tree = ast.parse((Path(anisocalc.__file__).parent / "embed.py").read_text())
+    rules = sorted(node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and
+                   node.name.startswith("_rule_"))
+    assert rules == ["_rule_b_l", "_rule_besov_bessel", "_rule_c0",
+                     "_rule_h_l"]
+
+
 @pytest.mark.parametrize("text", [
     # collapses to L at p = 2 only
     "H^{1-2/p,(1)}_p(R^1)",
