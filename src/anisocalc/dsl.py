@@ -145,6 +145,9 @@ class _Cursor:
         self.pos = 0
         self.offset = len(prefix)
         self.prelude = prelude
+        # the descriptors read so far, by their parsed fields: a space the
+        # text names again is the object already built
+        self.spaces: dict[tuple, SpaceDescr] = {}
 
     def error(self, message: str, at: int | None = None) -> ParseError:
         """A parse error at ``at``, by default at the cursor."""
@@ -317,7 +320,7 @@ def _parse_space(cur: _Cursor) -> SpaceDescr:
     elif not no_smoothness:
         raise cur.error(f"scale {scale} needs a smoothness block '^{{...}}'")
 
-    x, y = AffineExpr(), None  # y: a reciprocal pair, as x is read
+    xr, y = (), None  # reciprocal pairs, () for C0 and None for the literal p
     if scale is not Scale.C0:
         if not cur.text.startswith("_", cur.pos):
             raise cur.error("expected '_'")
@@ -337,15 +340,6 @@ def _parse_space(cur: _Cursor) -> SpaceDescr:
             xr = _parse_exponent(cur, unit)
         if scale is Scale.B and cur.text.startswith("_", cur.pos):
             y = _parse_exponent(cur, cur.read(_SUBSCRIPT))
-        if xr is None:
-            x = X
-        else:  # 1/p in the exponent, p concrete: s at x = xa/xd
-            (xa, xd), x = xr, from_lowered(xr[0], 0, xr[1])
-            s = (s[0] * xd + s[1] * xa, 0, s[2] * xd)
-    if y is not None:
-        y = Fraction(*y)
-        if x.is_constant and y == x.constant:
-            y = None
 
     dims, label, target, end = _parse_domain(cur)
     if weights is None:
@@ -354,11 +348,28 @@ def _parse_space(cur: _Cursor) -> SpaceDescr:
         raise cur.error(
             f"{len(weights)} weights for {len(dims)} slices; use a domain "
             f"like R^{{{'x'.join('1' for _ in weights)}}}", end)
+    key = (scale, s, xr, y, dims, weights, label, target)
+    space = cur.spaces.get(key)
+    if space is not None:
+        return space
+    if xr is None:
+        x = X
+    elif xr:  # 1/p in the exponent, p concrete: s at x = xa/xd
+        (xa, xd), x = xr, from_lowered(xr[0], 0, xr[1])
+        s = (s[0] * xd + s[1] * xa, 0, s[2] * xd)
+    else:
+        x = AffineExpr()
+    if y is not None:
+        y = Fraction(*y)
+        if x.is_constant and y == x.constant:
+            y = None
     try:
-        return SpaceDescr(scale, from_lowered(*s), x, y,
-                          Anisotropy(dims, weights), target, label)
+        space = SpaceDescr(scale, from_lowered(*s), x, y,
+                           Anisotropy(dims, weights), target, label)
     except ValueError as exc:
         raise cur.error(str(exc), end) from None
+    cur.spaces[key] = space
+    return space
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +437,8 @@ def _parse_query(cur: _Cursor) -> Query:
 
 
 def _parse_functor_q(cur: _Cursor) -> object:
-    """The q of ``(A, B)_{θ, q}``: 'p' (the default), 'oo' or a rational."""
+    """The q of ``(A, B)_{θ, q}``: 'p' (the default), 'oo' or a rational
+    of at least 1."""
     if not cur.take(",") or cur.take("p"):
         return COUPLED
     if cur.take("oo"):
@@ -434,6 +446,8 @@ def _parse_functor_q(cur: _Cursor) -> object:
     num, den, end = cur.rational(cur.read(_RATIONAL), 1)
     if num == 0:
         raise cur.error("the functor parameter q must be positive", end)
+    if num < den:
+        raise cur.error("the functor parameter q must be at least 1", end)
     return Fraction(num, den)
 
 

@@ -69,6 +69,39 @@ def test_parse_solve_query():
     assert q.payload["inner"].kind == "mult"
 
 
+def test_one_object_per_distinct_space_in_a_query(monkeypatch):
+    # a space a query names again is the descriptor already built, so the
+    # rules' dedupe by object normalizes it once per evaluation; the
+    # parser's tables die with the call
+    from anisocalc import multiply, nemytskij
+    calls, evals = [], []
+    for module in (multiply, nemytskij):
+        monkeypatch.setattr(module, "normalize", lambda sp, env, norm=(
+            module.normalize): calls.append(sp) or norm(sp, env))
+    decide = dsl.decide_multiplier_in
+    monkeypatch.setattr(dsl, "decide_multiplier_in", lambda *args: (
+        evals.append(args) or decide(*args)))
+    w = "W^{5/2-1/p,(2,1)}_p(JxSigma)"
+    q = parse_query(f"solve p: nemytskij: {w} * {w} -> {w} ?")
+    inner = q.payload["inner"].payload
+    assert inner["factors"][0] is inner["factors"][1] is inner["target"]
+    assert not run(q).param_set.is_empty
+    assert len(calls) == 3
+    assert parse_query(f"index {w}").payload["space"] is not inner["target"]
+    # a multiplier pivot: one call per evaluation, concrete and solved
+    for text in ("multiplier: W^{3/2,(2,1)}_4(JxSigma) * "
+                 "H^{1,(2,1)}_4(JxSigma) -> W^{3/2,(2,1)}_4(JxSigma) ?",
+                 "solve p: multiplier: W^{3/2-1/p,(2,1)}_p(R^{2x1}; A) * "
+                 "W^{2-1/2p,(2,1)}_p(R^{2x1}; A) -> "
+                 "W^{3/2-1/p,(2,1)}_p(R^{2x1}; A) ?"):
+        calls.clear()
+        evals.clear()
+        q = parse_query(text)
+        pivot = (q.payload.get("inner") or q).payload["target"]
+        run(q)
+        assert evals and sum(sp == pivot for sp in calls) == len(evals), text
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_space("H^{2,(2,1)}_p(Unknown)")
@@ -285,6 +318,9 @@ _EXIT_CASES = [
     pytest.param(["interp", "(H^{1,(2,1)}_3(JxSigma), "
                   "H^{3,(2,1)}_3(JxSigma))_{1/2, 0/5}"], 2,
                  id="real-q-zero-fraction"),
+    pytest.param(["interp", "(H^{1,(2,1)}_3(JxSigma), "
+                  "H^{3,(2,1)}_3(JxSigma))_{1/2, 1/2}"], 2,
+                 id="real-q-below-one"),
     pytest.param(["seminorm", "--space", _W, "--sigma", "x"], 2,
                  id="seminorm-sigma"),
     pytest.param(["seminorm", "--space", _W, "--spacing", "0"], 2,
@@ -650,6 +686,9 @@ def test_parse_outcomes_are_pinned():
      "micro-scale reciprocal must lie in [0, 1] (line 1, column 23)"),
     (parse_space, "H^{1,(1)}_2(R^2) ?",
      "trailing input after the space (line 1, column 18)"),
+    (parse_query,
+     "(H^{1,(2,1)}_3(JxSigma), H^{3,(2,1)}_3(JxSigma))_{1/2, 1/2}",
+     "the functor parameter q must be at least 1 (line 1, column 59)"),
 ])
 def test_parse_errors_the_corpus_misses(parse, text, message):
     with pytest.raises(ParseError) as err:
