@@ -15,8 +15,7 @@ from functools import partial
 from fractions import Fraction
 from typing import Callable
 
-from .dsl import (EXIT_COVERED, EXIT_NOT_COVERED, SCHEMA, Query,
-                  decision_thunk)
+from .dsl import EXIT_COVERED, EXIT_NOT_COVERED, Query, decision_thunk
 from .embed import Decision
 from .psolver import ParamSet, solve_param
 from .ratcore import AffineExpr, ParamEnv, Rational, X, render_fraction
@@ -131,7 +130,6 @@ class SuiteReport:
 
     def to_machine(self) -> dict:
         out = {
-            "schema": SCHEMA,
             "kind": f"app.{self.problem}",
             "n": self.n,
             "p": None if self.p is None else render_fraction(Fraction(self.p)),

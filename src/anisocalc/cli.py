@@ -12,10 +12,8 @@ command line exits 2 with argparse's usage text.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,19 +22,17 @@ from .lemmas import (MinimizationInput, RealizationInput, minimize_phi,
                      realize_exponents)
 from .ratcore import render_fraction
 
-# Query command -> the keywords it implies, and its help.  The command's
-# name is the only query kind it accepts.
+# Query command -> its help.  The command's name is the only query kind it
+# accepts, and it implies that kind's ``dsl.KEYWORDS``.
 QUERY_COMMANDS = {
-    "index": ("index ", "Regularity index of a space."),
-    "embed": ("", "Embedding query: 'A -> B ?'."),
-    "mult": ("", "Multiplication query: 'A * B -> C ?'."),
-    "multiplier": ("multiplier: ",
-                   "Multiplier query (one factor equals the target)."),
-    "algebra": ("algebra ", "Multiplication-algebra query."),
-    "nemytskij": ("nemytskij: ",
-                  "Analytic superposition gate: 'A * B -> C ?'."),
-    "solve-p": ("solve p: ", "Exact admissible p-range of a decision query."),
-    "interp": ("", "Interpolation: '[A, B]_{1/2}' or '(A, B)_{1/2, q}'."),
+    "index": "Regularity index of a space.",
+    "embed": "Embedding query: 'A -> B ?'.",
+    "mult": "Multiplication query: 'A * B -> C ?'.",
+    "multiplier": "Multiplier query (one factor equals the target).",
+    "algebra": "Multiplication-algebra query.",
+    "nemytskij": "Analytic superposition gate: 'A * B -> C ?'.",
+    "solve-p": "Exact admissible p-range of a decision query.",
+    "interp": "Interpolation: '[A, B]_{1/2}' or '(A, B)_{1/2, q}'.",
 }
 
 
@@ -77,7 +73,7 @@ def _per(option: str, text: str, unit: str, n: int) -> tuple[float, ...]:
 def _emit(result, machine: bool, **text_options) -> int:
     """Print a ``dsl.Report`` or ``appsuite.SuiteReport``; its exit code.
     Each is flushed, so ``batch`` output keeps its order with stderr."""
-    print(json.dumps(result.to_machine(), sort_keys=True) if machine
+    print(dsl.machine_json(result.to_machine()) if machine
           else result.to_text(**text_options), flush=True)
     return result.exit_code
 
@@ -91,15 +87,12 @@ def _refuse(exc: Exception) -> int:
 
 def _query(args: argparse.Namespace) -> int:
     prelude = _load_prelude(args.prelude)
-    t0 = time.perf_counter()
     text = " ".join(args.query)
-    query = dsl.parse_query(text, prelude, QUERY_COMMANDS[args.command][0])
+    query = dsl.parse_query(text, prelude, dsl.KEYWORDS[args.command])
     if query.kind != args.command:
         raise dsl.ParseError(f"expected a query of kind {args.command!r}, "
                              f"got {query.kind!r}", text, 0)
-    report = dsl.run(query)
-    report.timing_ms = (time.perf_counter() - t0) * 1e3
-    return _emit(report, args.machine, explain=args.explain)
+    return _emit(dsl.run(query), args.machine, explain=args.explain)
 
 
 def _batch(args: argparse.Namespace) -> int:
@@ -121,7 +114,7 @@ def _batch(args: argparse.Namespace) -> int:
 def _realize(args: argparse.Namespace) -> int:
     out = [render_fraction(v) for v in realize_exponents(RealizationInput(
         _rationals(args.sigma), _rationals(args.pi), _rational(args.rho)))]
-    print(json.dumps({"schema": dsl.SCHEMA, "kind": "realize", "rho_j": out})
+    print(dsl.machine_json({"kind": "realize", "rho_j": out})
           if args.machine else "rho_j = " + ", ".join(out))
     return 0
 
@@ -129,8 +122,8 @@ def _realize(args: argparse.Namespace) -> int:
 def _minimize(args: argparse.Namespace) -> int:
     val, rule = minimize_phi(MinimizationInput(
         _rationals(args.sigma), _rationals(args.pi), args.order))
-    print(json.dumps({
-        "schema": dsl.SCHEMA, "kind": "minimize",
+    print(dsl.machine_json({
+        "kind": "minimize",
         "phi_min": render_fraction(val), "case": rule.case,
         "mu": render_fraction(rule.mu),
         "argmin_sets": {"plus": sorted(rule.m_plus),
@@ -143,8 +136,6 @@ def _minimize(args: argparse.Namespace) -> int:
 
 
 def _seminorm(args: argparse.Namespace) -> int:
-    if args.csv is not None and (args.dilations is None or args.machine):
-        raise ValueError("--csv needs --dilations and excludes --machine")
     from . import normlab  # numpy loads only for this command
 
     space = dsl.parse_space(args.space, _load_prelude(args.prelude))
@@ -167,20 +158,14 @@ def _seminorm(args: argparse.Namespace) -> int:
 
     if args.dilations is None:
         value = rows[0][1]
-        print(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm",
-                          "space": str(space), "value": value})
+        print(dsl.machine_json({"kind": "seminorm", "space": str(space),
+                                "value": value})
               if args.machine else f"seminorm = {value:.6g}")
         return 0
-    table = "lambda,seminorm\n" + "\n".join(
-        f"{lam},{val:.12g}" for lam, val in rows)
-    if args.csv is not None:
-        Path(args.csv).write_text(table + "\n")
-        print(f"wrote {args.csv}")
-    elif args.machine:
-        print(json.dumps({"schema": dsl.SCHEMA, "kind": "seminorm-scaling",
-                          "space": str(space), "rows": rows}))
-    else:
-        print(table)
+    print(dsl.machine_json({"kind": "seminorm-scaling", "space": str(space),
+                            "rows": rows}) if args.machine
+          else "lambda,seminorm\n" + "\n".join(
+              f"{lam},{val:.12g}" for lam, val in rows))
     return 0
 
 
@@ -204,7 +189,7 @@ COMMANDS = {
     **{name: (_query, help_text, [("query", dict(
         nargs="+", metavar="QUERY",
         help="the query text; separate words are joined by spaces")),
-        *_QUERY_OPTIONS]) for name, (_, help_text) in QUERY_COMMANDS.items()},
+        *_QUERY_OPTIONS]) for name, help_text in QUERY_COMMANDS.items()},
     "batch": (_batch, "Evaluate a query file (one query per line, '#' "
               "comments); a refused line fails only itself.",
               [("path", dict(metavar="PATH")), *_QUERY_OPTIONS]),
@@ -234,9 +219,6 @@ COMMANDS = {
                      ("--radius", dict(type=float, help="grid half-width")),
                      ("--dilations", dict(help="comma-separated dilation "
                                           "parameters for a scaling table")),
-                     ("--csv", dict(metavar="PATH", help="write the "
-                                    "--dilations table as CSV (not with "
-                                    "--machine)")),
                      _PRELUDE, _MACHINE]),
     "app": (_app, "Run a built-in application checklist.", [
         ("problem", dict(choices=["stefan", "nvs"])),

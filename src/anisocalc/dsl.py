@@ -451,9 +451,6 @@ def _parse_functor_q(cur: _Cursor) -> object:
     return Fraction(num, den)
 
 
-_PREFIXED = ("multiplier", "nemytskij")
-
-
 def _parse_product(cur: _Cursor, kind: str | None) -> Query:
     """``A * ... -> T ?``; without a prefix one factor is an embedding and
     more are a multiplication."""
@@ -470,18 +467,25 @@ def _parse_product(cur: _Cursor, kind: str | None) -> Query:
     return Query(kind, {"factors": tuple(factors), "target": target})
 
 
+# Query kind -> the keywords its canonical text starts with; a query
+# command of the command line implies them.
+KEYWORDS = {"index": "index ", "embed": "", "mult": "",
+            "multiplier": "multiplier: ", "algebra": "algebra ",
+            "nemytskij": "nemytskij: ", "solve-p": "solve p: ", "interp": ""}
+
+
 def format_query(q: Query) -> str:
     p = q.payload
+    head = KEYWORDS.get(q.kind)
     if q.kind == "solve-p":
-        return f"solve p: {format_query(p['inner'])}"
+        return head + format_query(p["inner"])
     if q.kind == "index":
-        return f"index {p['space']}"
+        return f"{head}{p['space']}"
     if q.kind == "algebra":
-        return f"algebra {p['target']} ?"
+        return f"{head}{p['target']} ?"
     if q.kind in _RULES:
-        prefix = f"{q.kind}: " if q.kind in _PREFIXED else ""
         core = " * ".join(str(f) for f in p["factors"])
-        return f"{prefix}{core} -> {p['target']} ?"
+        return f"{head}{core} -> {p['target']} ?"
     if q.kind == "interp":
         theta = render_fraction(p["theta"])
         if p["method"] == "complex":
@@ -554,10 +558,16 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 
 
+def machine_json(doc: dict) -> str:
+    """The one machine writer: ``doc`` under the output schema, as JSON
+    with sorted keys."""
+    return json.dumps({"schema": SCHEMA, **doc}, sort_keys=True)
+
+
 def exit_code(exc: Exception) -> int:
     """Exit code of a refused query or command: 2 for malformed text or
-    option values or a file that cannot be read or written, 3 for every
-    other engine error.  Any other exception is a bug and propagates."""
+    option values or a file that cannot be read, 3 for every other engine
+    error.  Any other exception is a bug and propagates."""
     if isinstance(exc, (ParseError, ValueError, OSError)):
         return EXIT_USAGE
     if isinstance(exc, EngineError):
@@ -573,12 +583,17 @@ class Report:
     value: str | None = None
     param_set: ParamSet | None = None
     params: dict = field(default_factory=dict)
-    timing_ms: float | None = None
-    exit_code: int = EXIT_COVERED
 
     @property
     def verdict(self) -> str | None:
         return None if self.decision is None else self.decision.verdict.value
+
+    @property
+    def exit_code(self) -> int:
+        """1 for a decision not covered or an empty solved range, else 0."""
+        fails = (self.decision is not None and not self.decision.covered) or \
+            (self.param_set is not None and self.param_set.is_empty)
+        return EXIT_NOT_COVERED if fails else EXIT_COVERED
 
     def to_text(self, explain: bool = False) -> str:
         lines = [f"query: {self.query}"]
@@ -602,15 +617,12 @@ class Report:
                     lines.append(f"         {anchor_text(e.anchor)}")
         for key, val in self.params.items():
             lines.append(f"{key}: {val}")
-        if self.timing_ms is not None:
-            lines.append(f"time: {self.timing_ms:.1f} ms")
         return "\n".join(lines)
 
     def to_machine(self) -> dict:
         trace = () if self.decision is None else self.decision.trace
         fail = None if self.decision is None else self.decision.first_failure()
         return {
-            "schema": SCHEMA,
             "kind": self.kind,
             "query": self.query,
             "verdict": self.verdict,
@@ -628,7 +640,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_machine(), sort_keys=True)
+        return machine_json(self.to_machine())
 
 
 def run(query: Query) -> Report:
@@ -637,10 +649,8 @@ def run(query: Query) -> Report:
     text = format_query(query)
     if query.kind == "solve-p":
         inner: Query = p["inner"]
-        ps = solve_param(decision_thunk(inner))
-        code = EXIT_COVERED if not ps.is_empty else EXIT_NOT_COVERED
-        return Report(text, "solve-p", param_set=ps,
-                      params={"inner_kind": inner.kind}, exit_code=code)
+        return Report(text, "solve-p", param_set=solve_param(
+            decision_thunk(inner)), params={"inner_kind": inner.kind})
     if query.kind == "index":
         space: SpaceDescr = p["space"]
         idx = sobolev_index(space)
@@ -665,6 +675,4 @@ def run(query: Query) -> Report:
             AnalyticSpec(arity=len(p["factors"])).radius)
         params["rho_rule"] = ledger.rho_rule
         params["L_dependence"] = ", ".join(ledger.L_dependence)
-    code = EXIT_COVERED if decision.covered else EXIT_NOT_COVERED
-    return Report(text, query.kind, decision=decision, params=params,
-                  exit_code=code)
+    return Report(text, query.kind, decision=decision, params=params)

@@ -278,7 +278,7 @@ def embeds(src: SpaceDescr, dst: SpaceDescr) -> Decision:
 def embeds_in(src: SpaceDescr, dst: SpaceDescr, env: ParamEnv) -> Decision:
     _compatible(src, dst)
     src_n = normalize(src, env)
-    dst_n = normalize(dst, env)
+    dst_n = src_n if dst is src else normalize(dst, env)
     if src_n == dst_n:
         log = ConditionLog()
         log.passed("identity embedding", "embed.identity")

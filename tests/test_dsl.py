@@ -88,6 +88,13 @@ def test_one_object_per_distinct_space_in_a_query(monkeypatch):
     assert not run(q).param_set.is_empty
     assert len(calls) == 3
     assert parse_query(f"index {w}").payload["space"] is not inner["target"]
+    # an embedding of a space into itself: one call per evaluation
+    from anisocalc import embed
+    calls.clear()
+    monkeypatch.setattr(embed, "normalize", lambda sp, env, norm=(
+        embed.normalize): calls.append(sp) or norm(sp, env))
+    assert not run(parse_query(f"solve p: {w} -> {w} ?")).param_set.is_empty
+    assert len(calls) == 3
     # a multiplier pivot: one call per evaluation, concrete and solved
     for text in ("multiplier: W^{3/2,(2,1)}_4(JxSigma) * "
                  "H^{1,(2,1)}_4(JxSigma) -> W^{3/2,(2,1)}_4(JxSigma) ?",
@@ -260,6 +267,20 @@ def test_machine_report_schema():
     assert "timing" not in json.dumps(doc)
 
 
+def test_machine_documents_have_one_writer():
+    # dsl.machine_json is the package's one json.dumps call, and no other
+    # module names json or the schema
+    src = Path(anisocalc.__file__).parent
+    named = []  # (module, name) of each Name, Attribute or import node
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named += [(path.stem, getattr(node, a))
+                      for a in ("id", "attr", "name", "module")
+                      if getattr(node, a, None) in ("dumps", "json", "SCHEMA")]
+    assert [module for module, name in named if name == "dumps"] == ["dsl"]
+    assert {module for module, _ in named} == {"dsl"}
+
+
 def _corpus_lines():
     text = (GOLDEN / "queries.txt").read_text()
     return [ln.strip() for ln in text.splitlines()
@@ -343,11 +364,6 @@ _EXIT_CASES = [
                  id="seminorm-freq-overflow"),
     pytest.param(["seminorm", "--space", _W, "--dilations", "1,1e400"], 2,
                  id="seminorm-dilation-overflow"),
-    pytest.param(["seminorm", "--space", _W, "--spacing", "1/10", "--radius",
-                  "5", "--csv", os.devnull], 2, id="seminorm-csv-no-dilations"),
-    pytest.param(["seminorm", "--space", _W, "--spacing", "1/10", "--radius",
-                  "5", "--dilations", "1,2", "--csv", os.devnull, "--machine"],
-                 2, id="seminorm-csv-machine"),
     pytest.param(["realize", "--sigma", "1/0", "--pi", "1/2", "--rho", "1/2"],
                  2, id="realize-zero-denominator"),
     pytest.param(["app", "stefan", "--n", "3", "--p", "0"], 2, id="app-p"),
@@ -440,8 +456,9 @@ _SEMINORMS = [["seminorm", "--space", space, "--spacing", dx, "--radius", r]
 
 def _pinned_argvs():
     """Each query command on the first golden line of its kind, batch,
-    realize, minimize and seminorm, query words split by an option, and
-    the refusals above."""
+    the text reports of the golden lines, one with the rulebook text and
+    a solved range, realize, minimize and seminorm, query words split by
+    an option, and the refusals above."""
     first_of_kind = {}
     for line in _corpus_lines():
         first_of_kind.setdefault(parse_query(line).kind, line)
@@ -453,6 +470,9 @@ def _pinned_argvs():
           ("index", "embed", "mult", "multiplier", "algebra", "nemytskij",
            "solve-p", "interp")),
         ["batch", "tests/golden/queries.txt", "--machine"],
+        ["batch", "tests/golden/queries.txt"],
+        ["embed", first_of_kind["embed"], "--explain"],
+        ["solve-p", first_of_kind["solve-p"]],
         *lemmas, *([*argv, "--machine"] for argv in lemmas),
         *_SEMINORMS,
         ["index", "H^{1,(1)}_2", "--machine", "(R^2)"],
@@ -647,6 +667,12 @@ def test_cli_realize_and_minimize():
                  id="realize-without-rho"),
     pytest.param(_APP_REFUSALS[0], id="app-n-1"),
     pytest.param(_APP_REFUSALS[1], id="app-p-not-rational"),
+    # stdout carries the scaling table, so there is no --csv option
+    pytest.param(["seminorm", "--space", _W, "--spacing", "1/10", "--radius",
+                  "5", "--csv", os.devnull], id="seminorm-csv-no-dilations"),
+    pytest.param(["seminorm", "--space", _W, "--spacing", "1/10", "--radius",
+                  "5", "--dilations", "1,2", "--csv", os.devnull, "--machine"],
+                 id="seminorm-csv-machine"),
 ])
 def test_cli_usage_errors(args):
     # run_cli lets any exception but SystemExit through, so a traceback
