@@ -187,7 +187,7 @@ def solve_param(decide: DecisionFn) -> ParamSet:
     depend on x propagate; rewriting failures at isolated x become
     excluded points inside a covered neighborhood.
     """
-    points: set[Fraction] = set()
+    rec = BreakpointRecorder()
     # a witness's result does not depend on the partition: each witness
     # is evaluated once
     cache: dict[Fraction, _CellResult] = {}
@@ -195,23 +195,20 @@ def solve_param(decide: DecisionFn) -> ParamSet:
     def evaluate(witness: Fraction) -> _CellResult:
         if witness in cache:
             return cache[witness]
-        rec = BreakpointRecorder()
         try:
             result = _CellResult(
                 decide(ParamEnv(witness, rec)).verdict is Verdict.COVERED)
         except NotIdentifiable as exc:
             result = _CellResult(False, str(exc))
-        points.update(rec.points)
         cache[witness] = result
         return result
 
     for _ in range(_MAX_ROUNDS):
-        before = set(points)
-        breaks = sorted(points)
+        breaks = sorted(rec.points)
         cells = _cell_witnesses(breaks, cache)
         for w in (*cells, *breaks):
             evaluate(w)
-        if points == before:
+        if len(rec.points) == len(breaks):
             break
     else:
         raise Unsupported("case-split points failed to stabilize")

@@ -149,9 +149,15 @@ def multiples_in_unit_interval(
 
 @dataclass
 class BreakpointRecorder:
-    """Collects the case-split points met while evaluating a decision."""
+    """Collects the case-split points met while evaluating a decision.
+
+    ``splits`` holds the keys ``(A, B, D, modulus, allow_zero)`` of the
+    divisibility tests whose points are already in ``points``: they do
+    not depend on the witness, so one recorder adds them once.
+    """
 
     points: set[Fraction] = field(default_factory=set)
+    splits: set[tuple] = field(default_factory=set)
 
 
 Lowered = tuple[int, int, int]
@@ -270,24 +276,16 @@ class ParamEnv:
         (nonnegative multiples; positive ones if ``allow_zero`` is false).
 
         For non-constant forms this holds on at most finitely many x, which
-        are recorded as case-split points.  They do not depend on the
-        witness, so each form keeps them as a frozenset (whose stored
-        hashes the recorder's update reuses), keyed by ``(modulus,
-        allow_zero)``.
+        are recorded as case-split points, once per recorder.
         """
-        if self.recorder is not None and type(e) is AffineExpr and e.slope:
-            # a seed-1 symbolic-solve pass computes 2,046 for 12,883 reads
-            splits = e.__dict__.get("_splits")
-            if splits is None:
-                splits = {}
-                object.__setattr__(e, "_splits", splits)
-            key = (modulus, allow_zero)
-            points = splits.get(key)
-            if points is None:
-                points = splits[key] = frozenset(multiples_in_unit_interval(
-                    e, modulus, allow_zero=allow_zero))
-            self.recorder.points.update(points)
         a, b, d = lowered(e)
+        rec = self.recorder
+        if rec is not None and b:
+            key = (a, b, d, modulus, allow_zero)
+            if key not in rec.splits:
+                rec.splits.add(key)
+                rec.points.update(multiples_in_unit_interval(
+                    e, modulus, allow_zero=allow_zero))
         num = (a * self._v + b * self._u) * modulus.denominator
         den = d * self._v * modulus.numerator
         if num % den:

@@ -396,6 +396,12 @@ _EXIT_CASES = [
                  3, id="real-h-pair-equal-smoothness-uncoupled"),
     pytest.param(["solve-p", "solve p: index H^{1,(1)}_p(R^1)"], 3,
                  id="solve-index"),
+    pytest.param(["embed", "H^{1,(1)}_2(R^1) -> L^{(1)}_2(J) ?"], 3,
+                 id="embed-domains-differ"),
+    pytest.param(["embed", "H^{1,(1)}_2(R^1) -> L^{(1)}_2(R^1; E) ?"], 3,
+                 id="embed-value-spaces-differ"),
+    pytest.param(["mult", "H^{1,(1)}_2(R^1) * H^{1,(1)}_2(J) -> "
+                  "L^{(1)}_2(R^1) ?"], 3, id="mult-factor-domains-differ"),
     pytest.param(["interp", "[H^{1,(1)}_p(R^1), H^{3,(1)}_p(R^1)]_{1/2}"], 0,
                  id="interp-symbolic-uniform"),
     pytest.param(["seminorm", "--space", "W^{3/4,(1)}_2(R^1)", "--dilations",
@@ -456,9 +462,10 @@ _SEMINORMS = [["seminorm", "--space", space, "--spacing", dx, "--radius", r]
 
 def _pinned_argvs():
     """Each query command on the first golden line of its kind, batch,
-    the text reports of the golden lines, one with the rulebook text and
-    a solved range, realize, minimize and seminorm, query words split by
-    an option, and the refusals above."""
+    the text reports of the golden lines, one with the rulebook text,
+    solved ranges (one with excluded points, one empty), realize,
+    minimize and seminorm, query words split by an option, and the
+    refusals above."""
     first_of_kind = {}
     for line in _corpus_lines():
         first_of_kind.setdefault(parse_query(line).kind, line)
@@ -473,6 +480,9 @@ def _pinned_argvs():
         ["batch", "tests/golden/queries.txt"],
         ["embed", first_of_kind["embed"], "--explain"],
         ["solve-p", first_of_kind["solve-p"]],
+        # excluded points, and an empty set
+        ["solve-p", "algebra W^{5/p,(2,1)}_p(JxSigma) ?"],
+        ["solve-p", "L^{(1)}_p(R^1) * L^{(1)}_p(R^1) -> L^{(1)}_p(R^1) ?"],
         *lemmas, *([*argv, "--machine"] for argv in lemmas),
         *_SEMINORMS,
         ["index", "H^{1,(1)}_2", "--machine", "(R^2)"],

@@ -3,6 +3,7 @@
 import importlib
 import json
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -326,6 +327,46 @@ def _midpoint_solve(decide):
             evaluate(w)
         if points == before:
             return psolver._assemble(bounds[1:-1], mids, evaluate)
+
+
+class _CountedPoints(set):
+    """A point set that counts every element handed to it."""
+
+    handed = 0
+
+    def add(self, x):
+        _CountedPoints.handed += 1
+        super().add(x)
+
+    def update(self, *others):
+        for other in others:
+            other = list(other)
+            _CountedPoints.handed += len(other)
+            super().update(other)
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
+@pytest.mark.parametrize("k", [101, 401])
+def test_solve_merges_each_split_set_once(monkeypatch, k):
+    # a smoothness k/p has k/2 excluded points, each the zero of one
+    # divisibility test; the solve's one recorder takes each test's points
+    # once, so the points handed over grow with the breakpoints, not with
+    # their square
+    @dataclass
+    class Counted(BreakpointRecorder):
+        points: set = field(default_factory=_CountedPoints)
+
+    monkeypatch.setattr(psolver, "BreakpointRecorder", Counted)
+    _CountedPoints.handed = 0
+    query = parse_query(f"solve p: algebra W^{{{k}/p,(2,1)}}_p(JxSigma) ?")
+    decide = decision_thunk(query.payload["inner"])
+    got = solve_param(decide)
+    assert len(got.excluded) == k // 2
+    assert _CountedPoints.handed <= 8 * len(got.excluded)
+    assert got == _midpoint_solve(decide)
 
 
 def test_solver_evaluates_each_cell_and_breakpoint_once(monkeypatch):
