@@ -520,7 +520,7 @@ def _multiplier_rule(factors, target):
 
 def _nemytskij_rule(factors, target):
     phi = AnalyticSpec(arity=len(factors))
-    return lambda env: decide_nemytskij_in(factors, target, phi, env)[0]
+    return lambda env: decide_nemytskij_in(factors, target, phi, env)
 
 
 # Decision query kind -> rule, from the query's factors and target to its

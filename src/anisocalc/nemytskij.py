@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .embed import ConditionLog, Decision, Verdict
+from .embed import ConditionLog, Decision
 from .errors import HypothesisViolation
 from .multiply import (MultInstance, _hypotheses, _normalized,
                        _one_parameter_besov, _target_scale_gates)
@@ -55,14 +55,16 @@ class ConstantsLedger:
 
 def decide_nemytskij(args: Sequence[SpaceDescr], target: SpaceDescr,
                      phi: AnalyticSpec) -> tuple[Decision, ConstantsLedger | None]:
-    """Decide analyticity of the superposition operator u -> phi(u)."""
+    """Decide analyticity of the superposition operator u -> phi(u); the
+    ledger of its constants comes with a covered decision."""
     require_concrete(*args, target)
-    return decide_nemytskij_in(args, target, phi, ParamEnv.concrete())
+    decision = decide_nemytskij_in(args, target, phi, ParamEnv.concrete())
+    return decision, (ConstantsLedger.standard(phi.radius)
+                      if decision.covered else None)
 
 
 def decide_nemytskij_in(args: Sequence[SpaceDescr], target: SpaceDescr,
-                        phi: AnalyticSpec, env: ParamEnv,
-                        ) -> tuple[Decision, ConstantsLedger | None]:
+                        phi: AnalyticSpec, env: ParamEnv) -> Decision:
     if len(args) != phi.arity:
         raise ValueError(
             f"function arity {phi.arity} does not match {len(args)} arguments")
@@ -80,7 +82,7 @@ def decide_nemytskij_in(args: Sequence[SpaceDescr], target: SpaceDescr,
 
     *facs, tgt = _normalized((*args, target), env, normalize)
     if not _one_parameter_besov([*facs, tgt], env, log):
-        return log.decision(), None
+        return log.decision()
     log.check("positive smoothness and exponents in (1, oo)",
               "nemytskij.range", env.gt(tgt.s, 0) and
               all(env.gt(sp.x, 0) and env.lt(sp.x, 1) for sp in (tgt, *facs)))
@@ -110,8 +112,4 @@ def decide_nemytskij_in(args: Sequence[SpaceDescr], target: SpaceDescr,
                       "nemytskij.b", lambda: env.is_multiple(
                           tgt.s, tgt.aniso.omega_dot, allow_zero=False)
                       or all(sg > 0 for sg in smooth_signs))
-
-    decision = log.decision()
-    if decision.verdict is Verdict.COVERED:
-        return decision, ConstantsLedger.standard(phi.radius)
-    return decision, None
+    return log.decision()

@@ -24,58 +24,89 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
 class AffineExpr:
-    """An affine form ``constant + slope * x`` with x = 1/p.
+    """An affine form ``constant + slope * x`` with x = 1/p, held as the
+    reduced integers of ``(a + b*x) / d``: d > 0 and gcd(a, b, d) = 1.
 
-    Evaluation at a rational point is exact; two forms are equal iff both
-    coefficients match.
+    So two forms are equal iff their triples are, and every comparison of
+    the engine works on the triple.  Forms are immutable; evaluation at a
+    rational point is exact.
     """
 
-    constant: Fraction = Fraction(0)
-    slope: Fraction = Fraction(0)
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, constant: RationalLike = 0, slope: RationalLike = 0):
+        c, s = Fraction(constant), Fraction(slope)
+        return from_lowered(c.numerator * s.denominator,
+                            s.numerator * c.denominator,
+                            c.denominator * s.denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a form")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def of(value: "AffineLike") -> "AffineExpr":
         if isinstance(value, AffineExpr):
             return value
-        return AffineExpr(Fraction(value))
+        return AffineExpr(value)
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def is_constant(self) -> bool:
-        return self.slope == 0
+        return not self.b
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AffineExpr:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def __call__(self, x: RationalLike) -> Fraction:
-        return self.constant + self.slope * Fraction(x)
+        return (self.a + self.b * Fraction(x)) / self.d
 
     def __add__(self, other: "AffineLike") -> "AffineExpr":
-        o = AffineExpr.of(other)
-        return AffineExpr(self.constant + o.constant, self.slope + o.slope)
+        a, b, d = lowered(other)
+        return from_lowered(self.a * d + a * self.d, self.b * d + b * self.d,
+                            self.d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: "AffineLike") -> "AffineExpr":
-        o = AffineExpr.of(other)
-        return AffineExpr(self.constant - o.constant, self.slope - o.slope)
+        a, b, d = lowered(other)
+        return from_lowered(self.a * d - a * self.d, self.b * d - b * self.d,
+                            self.d * d)
 
     def __rsub__(self, other: "AffineLike") -> "AffineExpr":
-        return AffineExpr.of(other) - self
+        return -(self - other)
 
     def __neg__(self) -> "AffineExpr":
-        return AffineExpr(-self.constant, -self.slope)
+        return from_lowered(-self.a, -self.b, self.d)
 
     def __mul__(self, factor: RationalLike) -> "AffineExpr":
         c = Fraction(factor)
-        return AffineExpr(self.constant * c, self.slope * c)
+        return from_lowered(self.a * c.numerator, self.b * c.numerator,
+                            self.d * c.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, divisor: RationalLike) -> "AffineExpr":
         c = Fraction(divisor)
-        return AffineExpr(self.constant / c, self.slope / c)
+        return from_lowered(self.a * c.denominator, self.b * c.denominator,
+                            self.d * c.numerator)
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant:
+        if self.b:
             raise Unsupported(f"expression {self} is not constant in x = 1/p")
         return self.constant
 
@@ -84,6 +115,29 @@ class AffineExpr:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AffineExpr({self.constant!r}, {self.slope!r})"
+
+
+_set_a, _set_b, _set_d = (getattr(AffineExpr, f).__set__
+                          for f in AffineExpr.__slots__)
+
+
+def from_lowered(a: int, b: int, d: int) -> AffineExpr:
+    """The form ``(a + b*x) / d`` for integers with d != 0."""
+    if not d:
+        raise ZeroDivisionError("affine form with denominator 0")
+    g = math.gcd(a, b, d) if d > 0 else -math.gcd(a, b, d)
+    e = object.__new__(AffineExpr)
+    _set_a(e, a // g)
+    _set_b(e, b // g)
+    _set_d(e, d // g)
+    return e
+
+
+def lowered(e: "AffineLike") -> tuple[int, int, int]:
+    """The triple (a, b, d) of a form, or (n, 0, d) of a scalar n/d."""
+    if type(e) is AffineExpr:
+        return e.a, e.b, e.d
+    return e.numerator, 0, e.denominator
 
 
 AffineLike = Union[AffineExpr, Fraction, int]
@@ -109,17 +163,18 @@ def render_affine_x(e: AffineExpr) -> str:
 
 def render_affine_p(e: AffineExpr) -> str:
     """Render with x written as 1/p, e.g. ``1/2 - 5/2p`` (meaning 5/(2p))."""
-    if e.slope == 0:
-        return render_fraction(e.constant)
-    b = abs(e.slope)
+    c, slope = e.constant, e.slope
+    if slope == 0:
+        return render_fraction(c)
+    b = abs(slope)
     if b.denominator == 1:
         term = "1/p" if b == 1 else f"{b.numerator}/p"
     else:
         term = f"{b.numerator}/{b.denominator}p"
-    sign = "-" if e.slope < 0 else "+"
-    if e.constant == 0:
-        return term if e.slope > 0 else f"-{term}"
-    return f"{render_fraction(e.constant)} {sign} {term}"
+    sign = "-" if slope < 0 else "+"
+    if c == 0:
+        return term if slope > 0 else f"-{term}"
+    return f"{render_fraction(c)} {sign} {term}"
 
 
 def multiples_in_unit_interval(
@@ -160,58 +215,14 @@ class BreakpointRecorder:
     splits: set[tuple] = field(default_factory=set)
 
 
-Lowered = tuple[int, int, int]
-
-
-def lowered(e: AffineLike | Lowered) -> Lowered:
-    """Integers (A, B, D) with ``e = (A + B*x) / D`` and D > 0.
-
-    A scalar lowers with B = 0; an affine form caches its triple, so each
-    form is lowered once.  A triple passes through unchanged.
-    """
-    t = type(e)
-    if t is AffineExpr:
-        # a seed-1 concrete-batch pass lowers 508 forms for 39,658 reads
-        ints = e.__dict__.get("_ints")
-        if ints is None:
-            c, s = e.constant, e.slope
-            d = math.lcm(c.denominator, s.denominator)
-            ints = (c.numerator * (d // c.denominator),
-                    s.numerator * (d // s.denominator), d)
-            object.__setattr__(e, "_ints", ints)
-        return ints
-    if t is tuple:
-        return e
-    return e.numerator, 0, e.denominator
-
-
-def from_lowered(a: int, b: int, d: int) -> AffineExpr:
-    """The form ``(a + b*x) / d`` (d > 0), with its lowered triple cached."""
-    g = math.gcd(a, b, d)
-    a, b, d = a // g, b // g, d // g
-    e = AffineExpr(Fraction(a, d), Fraction(b, d)) if b else \
-        AffineExpr(Fraction(a, d))
-    object.__setattr__(e, "_ints", (a, b, d))
-    return e
-
-
-def lowered_sum(terms) -> Lowered:
-    """The lowered triple of a sum of forms, scalars or triples."""
-    a, b, d = 0, 0, 1
-    for t in terms:
-        ta, tb, td = lowered(t)
-        a, b, d = a * td + ta * d, b * td + tb * d, d * td
-    return a, b, d
-
-
 class ParamEnv:
     """Evaluation context: a rational witness for x plus an optional
     breakpoint recorder.
 
     All decision code routes its comparisons through this object, so a
     single implementation serves both concrete verdicts and the symbolic
-    parameter solver: every comparison lowers both sides to integer
-    triples and takes the sign in :meth:`cmp`, which also records the
+    parameter solver: every comparison takes the sign of the difference
+    of the two integer triples in :meth:`cmp`, which also records the
     root of the difference when a recorder is present.  Nothing mutates
     an environment, so :meth:`concrete` shares one.
     """
@@ -228,10 +239,9 @@ class ParamEnv:
     def concrete() -> "ParamEnv":
         return _CONCRETE
 
-    def cmp(self, lhs: AffineLike | Lowered, rhs: AffineLike | Lowered) -> int:
-        """Sign of lhs - rhs at the witness; either side may be a lowered
-        triple.  The root of the difference is recorded when it lies in
-        (0, 1).
+    def cmp(self, lhs: AffineLike, rhs: AffineLike) -> int:
+        """Sign of lhs - rhs at the witness.  The root of the difference is
+        recorded when it lies in (0, 1).
 
         The difference is (a + b*x) / (D1*D2) with a positive denominator,
         so its root is -a/b and its sign at x = u/v is that of a*v + b*u.
@@ -265,10 +275,6 @@ class ParamEnv:
 
     def eq(self, lhs: AffineLike, rhs: AffineLike) -> bool:
         return self.cmp(lhs, rhs) == 0
-
-    def sum_sign(self, terms, rhs: AffineLike) -> int:
-        """Sign of sum(terms) - rhs at the witness."""
-        return self.cmp(lowered_sum(terms), rhs)
 
     def is_multiple(self, e: AffineLike, modulus: int | Fraction, *,
                     allow_zero: bool = True) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, NotIdentifiable, Unsupported
 from .ratcore import (AffineExpr, AffineLike, BreakpointRecorder, ParamEnv,
-                      Rational, from_lowered, lowered, render_affine_p,
+                      Rational, from_lowered, render_affine_p,
                       render_fraction)
 
 
@@ -131,14 +131,11 @@ class SpaceDescr:
     aniso: Anisotropy
     target: TargetSpace = SCALARS
     domain_label: str = "R^n"
-    #: whether s and x are constant: p is given
-    is_concrete: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scale, y = self.scale, self.y
-        sa, sb, _ = lowered(self.s)
-        xa, xb, xd = lowered(self.x)
-        object.__setattr__(self, "is_concrete", not sb and not xb)
+        sa, sb = self.s.a, self.s.b
+        xa, xb, xd = self.x.a, self.x.b, self.x.d
         if scale is Scale.L or scale is Scale.C0:
             if sa or sb:
                 raise ValueError(f"scale {scale} carries no smoothness")
@@ -156,6 +153,11 @@ class SpaceDescr:
                                  f"out of range for scale {scale}")
         if scale is Scale.W and not sb and sa < 0:
             raise ValueError("Sobolev-Slobodeckij smoothness must be nonnegative")
+
+    @property
+    def is_concrete(self) -> bool:
+        """Whether s and x are constant: p is given."""
+        return not self.s.b and not self.x.b
 
     # constructors -----------------------------------------------------
 
@@ -260,10 +262,9 @@ def sobolev_index(space: SpaceDescr) -> AffineExpr:
         if space.scale is Scale.C0:
             raise Unsupported("no index is assigned to the C0 scale")
         n, wd = space.aniso.omega_dot_n, space.aniso.omega_dot
-        sa, sb, sd = lowered(space.s)
-        xa, xb, xd = lowered(space.x)
-        idx = from_lowered(sa * xd - n * xa * sd, sb * xd - n * xb * sd,
-                           sd * xd * wd)
+        s, x = space.s, space.x
+        idx = from_lowered(s.a * x.d - n * x.a * s.d,
+                           s.b * x.d - n * x.b * s.d, s.d * x.d * wd)
         object.__setattr__(space, "_index", idx)
     return idx
 

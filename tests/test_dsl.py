@@ -16,9 +16,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import anisocalc
-from anisocalc import (SCALARS, AffineExpr, Scale, SpaceDescr, X, dsl,
-                       lp_valued)
-from anisocalc.dsl import (ParseError, format_query, parse_prelude,
+from anisocalc import (SCALARS, AffineExpr, Anisotropy, Scale, SpaceDescr, X,
+                       dsl, lp_valued)
+from anisocalc.dsl import (ParseError, Query, format_query, parse_prelude,
                            parse_query, parse_space, run)
 from anisocalc.errors import EngineError
 
@@ -314,6 +314,76 @@ def test_seeded_corpora_outputs_are_pinned():
                if corpus_digests.digest_line(label, item) != want]
     assert not changed, f"{len(changed)} changed, first: " + \
         "; ".join(changed[:5])
+
+
+def _rescaled(query: Query, k: int, memo: dict) -> Query:
+    """The query with every space's weights and smoothness times k; one
+    object per distinct space, as the parser builds them."""
+    def scale(v):
+        if isinstance(v, SpaceDescr):
+            if id(v) not in memo:
+                memo[id(v)] = v.with_(s=v.s * k, aniso=Anisotropy(
+                    v.aniso.dims, tuple(k * w for w in v.aniso.weights)))
+            return memo[id(v)]
+        if isinstance(v, tuple):
+            return tuple(map(scale, v))
+        return _rescaled(v, k, memo) if isinstance(v, Query) else v
+    return Query(query.kind, {key: scale(v) for key, v in query.payload.items()})
+
+
+def _outcome(query: Query):
+    """What a query decides, without the texts that print a space: the
+    refusal's class, or the verdict, value, first failure, trace and solved
+    set with its excluded points by x."""
+    try:
+        rep = run(query)
+    except EngineError as exc:
+        return type(exc).__name__
+    fail = rep.decision and rep.decision.first_failure()
+    trace = rep.decision.trace if rep.decision else ()
+    ps = rep.param_set
+    return (rep.verdict, None if rep.kind == "interp" else rep.value,
+            fail and (fail.anchor, fail.label),
+            [(e.anchor, e.status) for e in trace],
+            ps and (ps.intervals, [e.x for e in ps.excluded]), rep.params)
+
+
+def test_weight_rescaling_changes_no_decision():
+    # the spaces do not change under w -> kw, s -> ks, nor do the index
+    # (s - x (w.n)) / lcm(w) and "s is a multiple of lcm(w)"
+    import corpus_digests
+
+    corpus = corpus_digests._corpus()
+    lines = _corpus_lines() + [line.text for line in (
+        *corpus.concrete_lines(1), *corpus.solve_lines(1))]
+    for line in lines:
+        query = parse_query(line)
+        want = _outcome(query)
+        for k in (2, 3):
+            assert _outcome(_rescaled(query, k, {})) == want, (line, k)
+
+
+def test_algebra_is_the_square_multiplication():
+    # algebra X <=> multiplier: X * X -> X <=> X * X -> X on the seed-1
+    # algebra lines: the same verdict, or under solve p: the same set
+    import corpus_digests
+
+    def decided(text: str):
+        rep = run(parse_query(text))
+        ps = rep.param_set
+        return rep.verdict if ps is None else \
+            (ps.intervals, [e.x for e in ps.excluded])
+
+    corpus = corpus_digests._corpus()
+    seen = []
+    for line in (*corpus.concrete_lines(1), *corpus.solve_lines(1)):
+        prefix, algebra, x = line.text.removesuffix(" ?").partition(
+            "algebra ")
+        if algebra:
+            seen.append(decided(line.text))
+            assert decided(f"{prefix}multiplier: {x} * {x} -> {x} ?") == \
+                decided(f"{prefix}{x} * {x} -> {x} ?") == seen[-1], line.text
+    assert {"COVERED", "NOT_COVERED"} <= set(map(str, seen))
 
 
 _H = "H^{1,(1)}_2(R^2)"

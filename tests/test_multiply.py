@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance, Scale,
@@ -14,11 +14,11 @@ from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance, Scale,
                        reduced_multiplication, sobolev_index)
 from anisocalc.errors import (ClosureFromUncovered, HypothesisViolation,
                               NotIdentifiable)
-from anisocalc.multiply import _subset_index_signs
+from anisocalc.multiply import _least_subset_sign
 from anisocalc.ratcore import BreakpointRecorder, ParamEnv, X
 
 from conftest import rand_aniso, rand_mult_instance, rand_x
-from reference import affine_root, failed_labels
+from reference import failed_labels
 
 SIG = Anisotropy((1, 2), (2, 1))  # time-space product of total dimension 3
 VAL = lp_valued("Rdot")
@@ -115,15 +115,21 @@ def _two_branch(ind: F, inds: list[F]) -> bool:
     return ind <= sum(v for v in inds if v < 0)
 
 
+def _sign(v: F) -> int:
+    return (v > 0) - (v < 0)
+
+
 def test_subset_form_equals_two_branch_form(rng):
     env = ParamEnv.concrete()
     for _ in range(10_000):
         m = rng.randint(1, 4)
         inds = [F(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(m)]
         ind = F(rng.randint(-12, 12), rng.randint(1, 8))
-        signs = _subset_index_signs(AffineExpr(ind),
-                                    [AffineExpr(v) for v in inds], env)
-        assert (all(s >= 0 for s in signs)) == _two_branch(ind, inds)
+        sign = _least_subset_sign(AffineExpr(ind),
+                                  [AffineExpr(v) for v in inds], env)
+        assert sign == min(_sign(sum(c) - ind) for k in range(1, m + 1)
+                           for c in combinations(inds, k))
+        assert (sign >= 0) == _two_branch(ind, inds)
 
 
 _RATS = st.builds(F, st.integers(-1000, 1000), st.integers(1, 1000))
@@ -148,17 +154,51 @@ def _subset_cases(draw):
 @seed(20261018)
 @settings(max_examples=300, deadline=None, database=None)
 @given(_subset_cases())
+# x - (-4 + 7x)/2 vanishes at 4/5, met only from the cell above 4/7
+@example((F(1, 2), AffineExpr(F(-2), F(7, 2)), [AffineExpr(F(-2), F(7, 2)), X]))
 def test_subset_index_signs_match_fraction_subset_sums(case):
     w, ind, inds = case
-    diffs = [sum((e for j, e in enumerate(inds) if mask >> j & 1),
-                 AffineExpr()) - ind for mask in range(1, 1 << len(inds))]
-    want = [(d(w) > 0) - (d(w) < 0) for d in diffs]
-    roots = {r for d in diffs
-             if (r := affine_root(d)) is not None and 0 < r < 1}
-    assert _subset_index_signs(ind, inds, ParamEnv(w)) == want
+    # the oracle: every subset sum minus ind as a (constant, slope) pair
+    diffs = [(sum(e.constant for e in c) - ind.constant,
+              sum(e.slope for e in c) - ind.slope)
+             for k in range(1, len(inds) + 1) for c in combinations(inds, k)]
+
+    def least(x: F) -> int:
+        return min(_sign(a + b * x) for a, b in diffs)
+
+    assert _least_subset_sign(ind, inds, ParamEnv(w)) == least(w)
     rec = BreakpointRecorder()
-    assert _subset_index_signs(ind, inds, ParamEnv(w, rec)) == want
-    assert rec.points == roots
+    assert _least_subset_sign(ind, inds, ParamEnv(w, rec)) == least(w)
+    # as the solver does: evaluate at the middle of every recorded cell
+    # until no point is added; then the oracle is constant on each cell
+    while True:
+        cuts = [F(0), *sorted(rec.points), F(1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = (lo + hi) / 2
+            assert _least_subset_sign(ind, inds, ParamEnv(mid, rec)) == \
+                least(mid)
+        if len(rec.points) == len(cuts) - 2:
+            break
+    roots = sorted({-a / b for a, b in diffs if b and 0 < -a / b < 1})
+    for lo, hi in zip(cuts, cuts[1:]):
+        inner = [r for r in roots if lo < r < hi]
+        probes = [*inner, *((u + v) / 2 for u, v in
+                            zip([lo, *inner], [*inner, hi]))]
+        assert len({least(x) for x in probes}) == 1
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_concrete_multiplication_makes_linear_comparisons(monkeypatch, m):
+    # (iii) reads the least subset sum, not all 2^m - 1 of them; the
+    # instance passes every condition, with positive factor indices
+    cmp, calls = ParamEnv.cmp, []
+    monkeypatch.setattr(ParamEnv, "cmp", lambda env, lhs, rhs:
+                        calls.append(1) or cmp(env, lhs, rhs))
+    a = isotropic(3)
+    facs = tuple(SpaceDescr.bessel(2, F(1, 2 * m), a) for _ in range(m))
+    inst = MultInstance.of(facs, SpaceDescr.bessel(1, F(1, 2), a))
+    assert decide_multiplication(inst).covered
+    assert len(calls) <= 10 * m
 
 
 def test_permutation_invariance(rng):

@@ -5,13 +5,14 @@ import math
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import anisocalc
 from anisocalc.ratcore import (AffineExpr, BreakpointRecorder, ParamEnv, X,
-                               multiples_in_unit_interval, render_affine_p,
-                               render_affine_x)
+                               from_lowered, multiples_in_unit_interval,
+                               render_affine_p, render_affine_x)
 
 from reference import affine_root
 
@@ -172,13 +173,46 @@ def test_recorded_comparisons_match_fraction_reference(case):
         concrete = ParamEnv(w)
         assert (concrete.sign(diff) if op == "sign"
                 else getattr(concrete, op)(lhs, rhs)) == expect, op
+    # a sum of forms and a scalar is one form: total - rhs = lhs + x
     rec = BreakpointRecorder()
-    terms = [lhs, rhs, X]
-    total = lhs + rhs + X
-    assert ParamEnv(w, rec).sum_sign(terms, rhs) == \
-        ParamEnv(w).sum_sign(terms, rhs) == ParamEnv(w).sign(total - rhs)
-    r = affine_root(total - rhs)
+    total = sum((lhs, rhs, X), AffineExpr())
+    v = lhs(w) + w
+    assert ParamEnv(w, rec).cmp(total, rhs) == ParamEnv(w).cmp(total, rhs) \
+        == (v > 0) - (v < 0)
+    slope = lhs.slope + 1
+    r = -lhs.constant / slope if slope else None
     assert rec.points == ({r} if r is not None and 0 < r < 1 else set())
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rationals(), _rationals(), _rationals(), _rationals(), _rationals(),
+       st.integers(-_BIG, _BIG).filter(bool))
+def test_forms_are_their_reduced_triple(c1, b1, c2, b2, k, g):
+    # a form holds only (a, b, d) of (a + b*x) / d, reduced with d > 0,
+    # however it is built; (constant, slope) pairs of Fractions are the
+    # oracle for its value
+    e1, e2 = AffineExpr(c1, b1), AffineExpr(c2, b2)
+    assert not hasattr(e1, "__dict__")
+    with pytest.raises(AttributeError):
+        e1.a = 0
+    built = [(e1, c1, b1), (from_lowered(e1.a * g, e1.b * g, e1.d * g), c1, b1),
+             (from_lowered(-e1.a, -e1.b, -e1.d), c1, b1),
+             (e1 + e2, c1 + c2, b1 + b2), (e1 - e2, c1 - c2, b1 - b2),
+             (e1 + k, c1 + k, b1), (k - e1, k - c1, -b1), (-e1, -c1, -b1),
+             (e1 * k, c1 * k, b1 * k), (k * e1, k * c1, k * b1)]
+    if k:
+        built.append((e1 / k, c1 / k, b1 / k))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            e1 / k
+    for e, c, b in built:
+        assert e.d > 0 and math.gcd(e.a, e.b, e.d) == 1
+        assert (e.constant, e.slope) == (c, b) and e(F(1, 3)) == c + b / 3
+        assert e == AffineExpr(c, b) and hash(e) == hash(AffineExpr(c, b))
+        assert e.is_constant is (b == 0)
+    with pytest.raises(ZeroDivisionError):
+        from_lowered(1, 2, 0)
 
 
 @st.composite
