@@ -8,14 +8,13 @@ symbolically; and numerically probes the intrinsic seminorms.
 
 from .embed import (COUPLED, Decision, Status, TraceEntry, Verdict, embeds,
                     interpolate_complex, interpolate_real)
-from .errors import (ClosureFromUncovered, EngineError, HypothesisViolation,
-                     IncompatibleSpaces, InfeasibleRange, NoInterpolationRule,
-                     NotIdentifiable, ResolutionError, Unsupported, WrongScale)
+from .errors import (EngineError, HypothesisViolation, IncompatibleSpaces,
+                     InfeasibleRange, NoInterpolationRule, NotIdentifiable,
+                     ResolutionError, Unsupported, WrongScale)
 from .lemmas import (MinimizationInput, MinimizerRule, RealizationInput,
                      minimize_phi, realize_exponents)
 from .multiply import (MultInstance, decide_algebra, decide_multiplication,
-                       decide_multiplier, interpolation_closure,
-                       reduced_multiplication)
+                       decide_multiplier)
 from .nemytskij import AnalyticSpec, ConstantsLedger, decide_nemytskij
 from .psolver import ExcludedPoint, Interval, ParamSet, solve_param
 from .ratcore import AffineExpr, ParamEnv, Rational, X
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineExpr", "AnalyticSpec", "Anisotropy",
-    "ClosureFromUncovered", "ConstantsLedger", "COUPLED", "Decision",
+    "ConstantsLedger", "COUPLED", "Decision",
     "EngineError", "ExcludedPoint", "HypothesisViolation",
     "IncompatibleSpaces", "InfeasibleRange", "Interval", "MinimizationInput",
     "MinimizerRule", "MultInstance", "NoInterpolationRule",
@@ -36,7 +35,7 @@ __all__ = [
     "Unsupported", "Verdict", "WrongScale", "X", "decide_algebra",
     "decide_multiplication", "decide_multiplier", "decide_nemytskij",
     "embeds", "interpolate_complex",
-    "interpolate_real", "interpolation_closure", "isotropic", "lp_valued",
+    "interpolate_real", "isotropic", "lp_valued",
     "minimize_phi", "normalize", "parabolic", "realize_exponents",
-    "reduced_multiplication", "sobolev_index", "solve_param",
+    "sobolev_index", "solve_param",
 ]

@@ -93,12 +93,6 @@ RULEBOOK: dict[str, str] = {
               "or (i) strict, or equality in (ii)",
     "mult.e": "(e) mixed scales: at least one of (ii), (iii) strict",
     "mult.f": "(f) some factor of vanishing index: (iii) strict",
-    "mult.reduced.unital": "omitted factors must take values in unital "
-                           "Banach algebras",
-    "mult.reduced.max-p": "no factor integrability exponent above the target "
-                          "one in the full instance",
-    "mult.closure": "bilinear complex interpolation of two covered instances",
-    "mult.closure.parent": "parent instance covered or asserted by the caller",
 
     # multiplier form
     "multiplier.pivot": "one factor must equal the target in scale, "

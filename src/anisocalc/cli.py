@@ -269,9 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(
         _glued(sys.argv[1:] if argv is None else argv))
     if args.command in QUERY_COMMANDS:
-        # query words an option splits are one query
-        args.query += [w for w in extra if not w.startswith("-")]
-        extra = [w for w in extra if w.startswith("-")]
+        # query words an option or a word like '->' splits are one query
+        args.query += [w for w in extra if not w.startswith("--")]
+        extra = [w for w in extra if w.startswith("--")]
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -36,11 +36,6 @@ class NoInterpolationRule(EngineError):
     identities."""
 
 
-class ClosureFromUncovered(EngineError):
-    """Interpolation closure requested from a parent instance that is
-    neither COVERED nor asserted by the caller."""
-
-
 class InfeasibleRange(EngineError):
     """The target sum lies outside the feasible range of the realization
     construction."""

@@ -10,15 +10,12 @@ nonempty factor subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .embed import (ConditionLog, Decision, Status, TraceEntry, Verdict,
-                    interpolate_complex)
-from .errors import (ClosureFromUncovered, HypothesisViolation,
-                     IncompatibleSpaces)
-from .ratcore import AffineExpr, ParamEnv, Rational
+from .embed import ConditionLog, Decision, Status, TraceEntry
+from .errors import HypothesisViolation, IncompatibleSpaces
+from .ratcore import AffineExpr, ParamEnv
 from .spaces import (SCALARS, Scale, SpaceDescr, TargetSpace,
                      check_target_flags, effective_scale, normalize,
                      require_concrete, sobolev_index)
@@ -126,7 +123,7 @@ def _least_subset_sign(ind: AffineExpr, inds: Sequence[AffineExpr],
     negative indices, or the least index when none is negative."""
     neg = [e for e in inds if env.sign(e) < 0]
     if neg:
-        return env.cmp(sum(neg), ind)
+        return env.cmp(sum(neg[1:], neg[0]), ind)
     return min(env.cmp(e, ind) for e in inds)
 
 
@@ -160,7 +157,7 @@ def decide_multiplication_in(inst: MultInstance, env: ParamEnv) -> Decision:
     if not log.check("(i) smoothness dominated by every factor", "mult.i",
                      i_ok, "strict" if i_strict else ""):
         return log.decision()
-    ii_sign = env.cmp(sum(f.x for f in facs), tgt.x)
+    ii_sign = env.cmp(sum((f.x for f in facs[1:]), facs[0].x), tgt.x)
     if not log.check("(ii) reciprocal integrability dominated by the sum",
                      "mult.ii", ii_sign >= 0,
                      "strict" if ii_sign > 0 else
@@ -287,80 +284,3 @@ def decide_algebra_in(space: SpaceDescr, env: ParamEnv) -> Decision:
     inst = MultInstance.of((space, space), space)
     inner = decide_multiplier_in(inst, 1, env)
     return Decision((head, *inner.trace))
-
-
-def reduced_multiplication(inst: MultInstance,
-                           omit: Sequence[int] | set[int]) -> Decision:
-    """Decision for the reduced multiplication with the omitted factor
-    slots (1-based) filled by the unit of their value algebra."""
-    require_concrete(*inst.factors, inst.target)
-    return reduced_multiplication_in(inst, omit, ParamEnv.concrete())
-
-
-def reduced_multiplication_in(inst: MultInstance, omit: Sequence[int] | set[int],
-                              env: ParamEnv) -> Decision:
-    omitted = frozenset(omit)
-    slots = set(range(1, inst.m + 1))
-    if not omitted or not omitted < slots:
-        raise ValueError("omitted slots must form a nonempty proper subset")
-    log = ConditionLog()
-    for j in sorted(omitted):
-        t = inst.factors[j - 1].target
-        if not t.unital:
-            raise HypothesisViolation(
-                f"omitted factor {j} takes values in {t.name}, which has no unit")
-    log.passed("omitted factors are unital Banach algebras",
-               "mult.reduced.unital")
-    log.check("no factor exponent above the target one",
-              "mult.reduced.max-p",
-              all(env.ge(f.x, inst.target.x) for f in inst.factors))
-    kept = tuple(f for j, f in enumerate(inst.factors, start=1)
-                 if j not in omitted)
-    reduced = MultInstance(kept, inst.target)
-    inner = decide_multiplication_in(reduced, env)
-    log.entries.extend(inner.trace)
-    return log.decision()
-
-
-def interpolation_closure(inst_a: MultInstance, inst_b: MultInstance,
-                          theta: Rational,
-                          assume_covered: tuple[bool, bool] = (False, False),
-                          ) -> tuple[MultInstance, Decision]:
-    """Componentwise complex interpolation of two covered instances.
-
-    Parents must be COVERED as decided, or asserted by the caller via
-    ``assume_covered``; the endpoints theta = 0, 1 return the parents
-    verbatim.
-    """
-    theta = Fraction(theta)
-    if not 0 <= theta <= 1:
-        raise ValueError("interpolation parameter must lie in [0, 1]")
-    log = ConditionLog()
-    for name, inst, assumed in (("first", inst_a, assume_covered[0]),
-                                ("second", inst_b, assume_covered[1])):
-        if assumed:
-            log.passed(f"{name} parent asserted by the caller",
-                       "mult.closure.parent", "asserted")
-            continue
-        parent = decide_multiplication(inst)
-        if parent.verdict is not Verdict.COVERED:
-            fail = parent.first_failure()
-            raise ClosureFromUncovered(
-                f"{name} parent not covered"
-                + (f" (first failed condition: {fail.label})" if fail else ""))
-        log.passed(f"{name} parent covered", "mult.closure.parent")
-    if theta == 0:
-        log.passed("endpoint: first parent returned verbatim", "mult.closure")
-        return inst_a, log.decision()
-    if theta == 1:
-        log.passed("endpoint: second parent returned verbatim", "mult.closure")
-        return inst_b, log.decision()
-    if inst_a.m != inst_b.m:
-        raise ClosureFromUncovered("parents have different arities")
-    factors = tuple(interpolate_complex(fa, fb, theta)
-                    for fa, fb in zip(inst_a.factors, inst_b.factors))
-    target = interpolate_complex(inst_a.target, inst_b.target, theta)
-    out = MultInstance.of(factors, target)
-    log.passed("bilinear complex interpolation of the parents",
-               "mult.closure", f"theta = {theta}")
-    return out, log.decision()

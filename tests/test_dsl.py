@@ -589,6 +589,20 @@ def test_cli_command_prefix_is_read_like_batch(tmp_path):
         "(line 1, column 22)\n")
 
 
+@pytest.mark.parametrize("command, words", [
+    ("embed", ["H^{1,(1)}_2(R^1)", "->", "L^{(1)}_2(R^1) ?"]),
+    ("mult", ["H^{1,(1)}_2(R^1)", "*", "H^{1,(1)}_2(R^1)", "->",
+              "L^{(1)}_2(R^1)", "?"]),
+])
+@pytest.mark.parametrize("option", [[], ["--machine"]], ids=["text", "machine"])
+def test_cli_query_split_into_words(command, words, option):
+    # '->' is a query word, not an option
+    whole = run_cli([command, " ".join(words), *option])
+    assert whole[0] in (0, 1)
+    assert run_cli([command, *words, *option]) == whole
+    assert run_cli([command, *words[:2], *option, *words[2:]]) == whole
+
+
 def test_cli_seminorm_names_a_nonpositive_radius():
     # a zero radius used to surface as a math domain error from the
     # step-size range
@@ -741,6 +755,8 @@ def test_cli_realize_and_minimize():
     pytest.param([], id="no-command"),
     pytest.param(["bogus", _H], id="unknown-command"),
     pytest.param(["index", "--mach", _H], id="abbreviated-option"),
+    pytest.param(["embed", _H, "->", _H, "?", "--bogus"],
+                 id="split-query-unknown-option"),
     pytest.param(["app", "stefan", "--n", "x"], id="app-n-not-an-integer"),
     pytest.param(["app", "bogus", "--n", "2"], id="app-unknown-problem"),
     pytest.param(["realize", "--sigma", "1/2,2", "--pi", "3/4,1/2"],

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from anisocalc import (SCALARS, AffineExpr, Anisotropy, MultInstance, Scale,
                        SpaceDescr, Verdict, decide_algebra,
-                       decide_multiplication, decide_multiplier,
-                       interpolation_closure, isotropic, lp_valued,
-                       reduced_multiplication, sobolev_index)
-from anisocalc.errors import (ClosureFromUncovered, HypothesisViolation,
-                              NotIdentifiable)
+                       decide_multiplication, decide_multiplier, isotropic,
+                       lp_valued, sobolev_index)
+from anisocalc import ratcore
+from anisocalc.errors import HypothesisViolation, NotIdentifiable
 from anisocalc.multiply import _least_subset_sign
 from anisocalc.ratcore import BreakpointRecorder, ParamEnv, X
 
@@ -190,15 +189,35 @@ def test_subset_index_signs_match_fraction_subset_sums(case):
 @pytest.mark.parametrize("m", [4, 8, 12])
 def test_concrete_multiplication_makes_linear_comparisons(monkeypatch, m):
     # (iii) reads the least subset sum, not all 2^m - 1 of them; the
-    # instance passes every condition, with positive factor indices
-    cmp, calls = ParamEnv.cmp, []
-    monkeypatch.setattr(ParamEnv, "cmp", lambda env, lhs, rhs:
-                        calls.append(1) or cmp(env, lhs, rhs))
+    # instance passes every condition, with positive factor indices, so
+    # the only form the arithmetic builds is (ii)'s sum: m - 1 additions
     a = isotropic(3)
     facs = tuple(SpaceDescr.bessel(2, F(1, 2 * m), a) for _ in range(m))
     inst = MultInstance.of(facs, SpaceDescr.bessel(1, F(1, 2), a))
+    cmp, calls, build, forms = ParamEnv.cmp, [], ratcore.from_lowered, []
+    monkeypatch.setattr(ParamEnv, "cmp", lambda env, lhs, rhs:
+                        calls.append(1) or cmp(env, lhs, rhs))
+    monkeypatch.setattr(ratcore, "from_lowered", lambda *abd:
+                        forms.append(1) or build(*abd))
     assert decide_multiplication(inst).covered
     assert len(calls) <= 10 * m
+    assert len(forms) <= m - 1
+
+
+def test_negative_subset_sum_builds_no_spare_form(monkeypatch):
+    # the least subset sum of (iii) is the one negative factor index
+    # itself, and (ii) adds the three reciprocals in two additions
+    x = F(1, 3)
+    facs = (SpaceDescr.sobolev(2 - x, x, SIG, SCALARS, "JxSigma"),
+            SpaceDescr.sobolev(F(5, 2) - x, x, SIG, SCALARS, "JxSigma"),
+            SpaceDescr.lebesgue(F(1, 4), SIG, SCALARS, "JxSigma"))
+    inst = MultInstance.of(
+        facs, SpaceDescr.lebesgue(F(1, 2), SIG, SCALARS, "JxSigma"))
+    forms, build = [], ratcore.from_lowered
+    monkeypatch.setattr(ratcore, "from_lowered", lambda *abd:
+                        forms.append(1) or build(*abd))
+    assert decide_multiplication(inst).covered
+    assert len(forms) <= 2
 
 
 def test_permutation_invariance(rng):
@@ -269,64 +288,18 @@ def test_hidden_constraint_on_covered_instances(rng):
     assert hits > 50
 
 
-def test_reduced_multiplication():
-    x = F(1, 3)
-    w = SpaceDescr.sobolev(2 - x, x, SIG, SCALARS, "JxSigma")
-    tgt = SpaceDescr.sobolev(1 - x, x, SIG, SCALARS, "JxSigma")
-    inst = MultInstance.of((w, w, tgt), tgt)
-    assert decide_multiplication(inst).covered
-    assert reduced_multiplication(inst, {2}).covered
-    assert reduced_multiplication(inst, {1, 2}).covered
-    with pytest.raises(ValueError):
-        reduced_multiplication(inst, {1, 2, 3})
-    with pytest.raises(ValueError):
-        reduced_multiplication(inst, set())
-    valued = SpaceDescr.bessel(2, x, SIG, VAL, "JxSigma")
-    mixed = MultInstance.of((w, valued), valued)
-    with pytest.raises(HypothesisViolation):
-        reduced_multiplication(mixed, {2})
-
-
-def test_closure_of_excluded_borderline():
-    # the planar pair at integrability two: parents fail only through the
-    # divisibility branch of constraint (d) and must be asserted
+def test_planar_borderline_fails_only_through_d():
+    # the planar pair at integrability two fails only through the
+    # divisibility branch of constraint (d), which is flagged
     a = Anisotropy((1, 1), (1, 1))
-
-    def inst(s_factors, s_target):
-        facs = tuple(SpaceDescr.bessel(s, F(1, 2), a) for s in s_factors)
-        return MultInstance.of(facs, SpaceDescr.bessel(s_target, F(1, 2), a))
-
-    parent_a = inst((F(5, 2), F(3, 2)), F(3, 2))
-    parent_b = inst((F(3, 2), F(1, 2)), F(1, 2))
-    da = decide_multiplication(parent_a)
-    assert da.verdict is Verdict.NOT_COVERED
-    assert failed_labels(da) == ["(d) smoothness multiple of lcm(w), or (i) "
-                                  "strict, or equality in (ii)"]
-    assert "(d)-only" in [e.note for e in da.trace if e.anchor == "mult.d"][0]
-
-    with pytest.raises(ClosureFromUncovered):
-        interpolation_closure(parent_a, parent_b, F(1, 2))
-
-    out, decision = interpolation_closure(parent_a, parent_b, F(1, 2),
-                                          assume_covered=(True, True))
-    assert decision.covered
-    assert [f.s for f in out.factors] == [AffineExpr(F(2)), AffineExpr(F(1))]
-    assert out.target.s == AffineExpr(F(1))
-
-    same, decision0 = interpolation_closure(parent_a, parent_b, F(0),
-                                            assume_covered=(True, True))
-    assert same == parent_a and decision0.covered
-
-
-def test_closure_shape_mismatch():
-    from anisocalc import NoInterpolationRule
-    a = isotropic(2)
-    h = SpaceDescr.bessel(2, F(1, 2), a)
-    b = SpaceDescr.besov(2, F(1, 2), a)
-    inst_h = MultInstance.of((h, h), h)
-    inst_b = MultInstance.of((b, b), b)
-    with pytest.raises((ClosureFromUncovered, NoInterpolationRule)):
-        interpolation_closure(inst_h, inst_b, F(1, 2))
+    facs = (SpaceDescr.bessel(F(5, 2), F(1, 2), a),
+            SpaceDescr.bessel(F(3, 2), F(1, 2), a))
+    d = decide_multiplication(
+        MultInstance.of(facs, SpaceDescr.bessel(F(3, 2), F(1, 2), a)))
+    assert d.verdict is Verdict.NOT_COVERED
+    assert failed_labels(d) == ["(d) smoothness multiple of lcm(w), or (i) "
+                                 "strict, or equality in (ii)"]
+    assert "(d)-only" in [e.note for e in d.trace if e.anchor == "mult.d"][0]
 
 
 def test_unregistered_signature_raises():
@@ -388,15 +361,6 @@ def test_higher_order_equal_smoothness_products(rng):
         d = decide_multiplication(b_inst)
         assert not d.covered
         assert d.first_failure().anchor == "mult.b"
-
-
-def test_closure_endpoint_one():
-    x = F(1, 3)
-    w = SpaceDescr.sobolev(2 - x, x, SIG, SCALARS, "JxSigma")
-    tgt = SpaceDescr.sobolev(1 - x, x, SIG, SCALARS, "JxSigma")
-    inst = MultInstance.of((w, tgt), tgt)
-    out, decision = interpolation_closure(inst, inst, F(1))
-    assert out == inst and decision.covered
 
 
 def test_algebra_matches_direct_criterion(rng):
