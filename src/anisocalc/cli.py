@@ -266,11 +266,16 @@ def _glued(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (``sys.argv[1:]`` by default); its exit code."""
     parser = _parser()
-    args, extra = parser.parse_known_args(
-        _glued(sys.argv[1:] if argv is None else argv))
+    words = _glued(sys.argv[1:] if argv is None else argv)
+    args, extra = parser.parse_known_args(words)
     if args.command in QUERY_COMMANDS:
-        # query words an option or a word like '->' splits are one query
-        args.query += [w for w in extra if not w.startswith("--")]
+        # argparse leaves a word like '->' over, behind the words it
+        # assigned: the query is every word after the command that is not
+        # an option, in the order typed, and every word after '--'
+        words = words[words.index(args.command) + 1:]
+        cut = words.index("--") if "--" in words else len(words)
+        args.query = [w for w in words[:cut] if not w.startswith("--")] + \
+            words[cut + 1:]
         extra = [w for w in extra if w.startswith("--")]
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

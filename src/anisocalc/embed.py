@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import IncompatibleSpaces, NoInterpolationRule
-from .ratcore import AffineExpr, ParamEnv, Rational
+from .ratcore import X, AffineExpr, ParamEnv, Rational, render_affine_p
 from .spaces import (Scale, SpaceDescr, normalize, require_concrete,
                      sobolev_index)
 
@@ -330,6 +330,20 @@ def _convex(a: AffineExpr, b: AffineExpr, theta: Fraction) -> AffineExpr:
     return a * (1 - theta) + b * theta
 
 
+def _convex_x(a: SpaceDescr, b: SpaceDescr, theta: Fraction) -> AffineExpr:
+    """The interpolated integrability reciprocal.  One that comes out
+    symbolic but not x, as from one symbolic and one concrete operand,
+    names no space the grammar can write (its only symbolic integrability
+    is p), so it is refused; a micro-scale is a constant, x itself or
+    refused by its rule."""
+    x = _convex(a.x, b.x, theta)
+    if not x.is_constant and x != X:
+        raise NoInterpolationRule(
+            f"interpolated integrability reciprocal {render_affine_p(x)} is "
+            f"symbolic but not 1/p")
+    return x
+
+
 def _operands(a: SpaceDescr, b: SpaceDescr, theta: Rational
               ) -> tuple[Fraction, SpaceDescr, SpaceDescr]:
     """θ in (0, 1) and the normalized operands of an interpolation on one
@@ -358,11 +372,11 @@ def interpolate_complex(a: SpaceDescr, b: SpaceDescr,
     """Complex interpolation of a matching pair of descriptors."""
     theta, a0, b0 = _operands(a, b, theta)
     if a0.scale is Scale.L and b0.scale is Scale.L:
-        return a0.with_(x=_convex(a0.x, b0.x, theta))
+        return a0.with_(x=_convex_x(a0, b0, theta))
     if a0.scale is Scale.B and b0.scale is Scale.B:
         y = _convex(a0.micro(), b0.micro(), theta)
         out = a0.with_(s=_convex(a0.s, b0.s, theta),
-                       x=_convex(a0.x, b0.x, theta),
+                       x=_convex_x(a0, b0, theta),
                        y=y.constant_value() if y.is_constant else None)
         if not y.is_constant and y != out.x:
             raise NoInterpolationRule("symbolic micro-scale cannot be carried")
@@ -371,7 +385,7 @@ def interpolate_complex(a: SpaceDescr, b: SpaceDescr,
         if a0.x == b0.x:
             return a0.with_(s=_convex(a0.s, b0.s, theta))
         if a0.s == b0.s:
-            return a0.with_(x=_convex(a0.x, b0.x, theta))
+            return a0.with_(x=_convex_x(a0, b0, theta))
         raise NoInterpolationRule(
             "Bessel-potential pairs interpolate at fixed integrability or "
             "fixed smoothness only")
@@ -391,7 +405,7 @@ def interpolate_real(a: SpaceDescr, b: SpaceDescr, theta: Rational,
         if q is not COUPLED:
             raise NoInterpolationRule(
                 "Lebesgue pairs interpolate with coupled functor parameter")
-        return a0.with_(x=_convex(a0.x, b0.x, theta))
+        return a0.with_(x=_convex_x(a0, b0, theta))
     if a0.scale is b0.scale and a0.scale in (Scale.H, Scale.B) and \
             a0.x == b0.x and a0.s != b0.s:
         # fixed p, distinct s: B^{(1-θ)s0+θs1}_{p,q} on either scale
@@ -403,13 +417,13 @@ def interpolate_real(a: SpaceDescr, b: SpaceDescr, theta: Rational,
                                   s=_convex(a0.s, b0.s, theta)))
     if a0.scale is Scale.H and b0.scale is Scale.H:
         if a0.s == b0.s and q is COUPLED:
-            return a0.with_(x=_convex(a0.x, b0.x, theta))
+            return a0.with_(x=_convex_x(a0, b0, theta))
         raise NoInterpolationRule(
             "Bessel-potential pairs interpolate at fixed integrability with "
             "distinct smoothness, or fixed smoothness with coupled parameter")
     if a0.scale is Scale.B and b0.scale is Scale.B:
         if q is COUPLED:
-            x = _convex(a0.x, b0.x, theta)
+            x = _convex_x(a0, b0, theta)
             if _convex(a0.micro(), b0.micro(), theta) != x:
                 raise NoInterpolationRule(
                     "coupled functor parameter requires the micro-scales to "

@@ -10,6 +10,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -203,29 +204,62 @@ def _difference_power_sum(v: np.ndarray, axes: list[int], shift: np.ndarray,
 
 
 def _fft_length(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m, a length pocketfft is fast on (n
-    divides a power of 30 exactly when it has no other prime factor)."""
-    return next(n for n in itertools.count(m) if 30 ** n.bit_length() % n == 0)
+    """The smallest of 2^a, 3 2^a and 5 2^a that is >= m.  Radix 2 is
+    pocketfft's fastest path, and the two odd factors keep the length
+    below 4m/3 (the next power of two alone can reach 2m)."""
+    return min(c << (-(-m // c) - 1).bit_length() for c in (1, 3, 5))
 
 
-def _difference_square_sums(v: np.ndarray, axes: list[int],
-                            shifts: np.ndarray, coeffs) -> np.ndarray:
-    """``_difference_power_sum`` at p = 2 for all shifts (..., d) at once:
-    sum_kl w_k w_l A[s_k - s_l] over the copies' weights w and starts s, with
-    A[m] = sum_x v(x) v(x + m) over the slice axes (summed over the others)
-    from one FFT padded on each slice axis of n points to the smallest
-    2^a 3^b 5^c >= 2n - 1, so no lag wraps; |m_j| >= n_j reads as 0."""
-    n = [v.shape[ax] for ax in axes]
-    lengths = [_fft_length(2 * m - 1) for m in n]
-    # one expression, so the spectrum is freed before the power is summed
-    power = (np.abs(np.fft.rfftn(v, lengths, axes=axes)) ** 2).sum(
-        axis=tuple(ax for ax in range(v.ndim) if ax not in axes))
-    acf = np.fft.irfftn(power, lengths, axes=range(len(axes)))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _SquareForm:
+    """What ``_difference_square_sums`` needs besides the samples, for
+    shifts (..., d) in cells along the slice ``axes`` of a grid with n
+    points on each: the FFT length of each slice axis
+    (``_fft_length(2n - 1)``, so no lag wraps), and for each pair of
+    copies k, l of ``_copies`` the flat index of its lag s_k - s_l in the
+    autocorrelation and its weight w_k w_l (0 when |m_j| >= n_j on some
+    axis, where the autocorrelation is 0)."""
+
+    axes: tuple[int, ...]
+    lengths: tuple[int, ...]
+    index: np.ndarray
+    pairs: np.ndarray
+
+
+def _square_form(shape: tuple[int, ...], axes, shifts: np.ndarray,
+                 coeffs) -> _SquareForm:
+    n = [shape[ax] for ax in axes]
+    lengths = tuple(_fft_length(2 * m - 1) for m in n)
     starts, weights = _copies(shifts, coeffs)
     lags = starts[..., :, None, :] - starts[..., None, :, :]
-    gram = np.where(np.all(np.abs(lags) < n, axis=-1),
-                    acf[tuple(np.moveaxis(lags % lengths, -1, 0))], 0.0)
-    sums = np.einsum("...k,...kl,...l->...", weights, gram, weights)
+    inside = np.all(np.abs(lags) < n, axis=-1)
+    index = np.ravel_multi_index(tuple(np.moveaxis(lags % lengths, -1, 0)),
+                                 lengths)
+    pairs = np.where(inside, weights[..., :, None] * weights[..., None, :], 0.0)
+    return _SquareForm(tuple(axes), lengths, _read_only(index),
+                       _read_only(pairs))
+
+
+def _difference_square_sums(v: np.ndarray, form: _SquareForm) -> np.ndarray:
+    """``_difference_power_sum`` at p = 2 for all the form's shifts at once:
+    sum_kl w_k w_l A[s_k - s_l] over the copies' weights w and starts s, with
+    A[m] = sum_x v(x) v(x + m) over the slice axes (summed over the others)
+    from one zero-padded FFT."""
+    others = tuple(ax for ax in range(v.ndim) if ax not in form.axes)
+    spec = np.fft.rfftn(v, form.lengths, axes=form.axes)
+    # |F|^2 with no second array of the spectrum's size: the real and
+    # imaginary parts lie side by side on the last axis, squared in place
+    parts = spec.view(float)
+    power = np.square(parts, out=parts).sum(axis=others)
+    if v.ndim - 1 in form.axes:  # each frequency's two parts are still apart
+        power = power[..., ::2] + power[..., 1::2]
+    acf = np.fft.irfftn(power, form.lengths, axes=range(len(form.axes)))
+    sums = np.einsum("...kl,...kl->...", form.pairs, acf.take(form.index))
     return np.maximum(sums, 0)  # a vanishing difference rounds either way
 
 
@@ -250,60 +284,117 @@ def _space_params(space: SpaceDescr) -> tuple[Fraction, Fraction]:
     return s, 1 / x
 
 
-def _require_grid(u: GridFunction, space: SpaceDescr) -> None:
-    if tuple(space.aniso.dims) != u.slice_dims:
+def _require_grid(slice_dims: tuple[int, ...], space: SpaceDescr) -> None:
+    if tuple(space.aniso.dims) != slice_dims:
         raise ValueError("grid slices do not match the descriptor")
 
 
-def _quadrature(u: GridFunction, plans: list[tuple[int, int, int, float]],
-                p: Fraction, q: Fraction) -> SeminormResult:
+@dataclass(frozen=True)
+class _SlicePlan:
+    """One slice's quadrature on one grid, all but the samples: the order
+    of its derivatives, its difference coefficients, its shifts (direction,
+    node, axis) in cells, the kernel (direction weight times r^{-sigma q};
+    direction, node), the radial weights, the factors of the dropped core
+    and tail, its ``meta`` entry, and at p = 2 the square form."""
+
+    axes: tuple[int, ...]
+    derivative_order: int
+    coeffs: tuple[int, ...]
+    shifts: np.ndarray
+    kernel: np.ndarray
+    node_weights: np.ndarray
+    coeff_mass: float
+    core: float
+    tail: float
+    meta: dict
+    square: _SquareForm | None
+
+
+@dataclass(frozen=True)
+class _GridPlan:
+    p: float
+    q: float
+    slices: tuple[_SlicePlan, ...]
+
+
+# a fit needs one plan, and the lab's four fits four; a plan's arrays are
+# a few kB on a line and at most some 10 MB on an R^3 slice
+@functools.lru_cache(maxsize=4)
+def _grid_plan(plans_of: Callable, space: SpaceDescr,
+               slice_dims: tuple[int, ...], spacings: tuple[float, ...],
+               shape: tuple[int, ...], decay_radius: float) -> _GridPlan:
+    """The part of the space's quadrature on a grid that the samples do
+    not change, so the dilations of a fit share it.  ``plans_of`` gives
+    the plan (order, m, n, sigma) of each slice and the exponents (p, q);
+    ``order`` only labels the slice in ``meta``.  Its refusals come first,
+    then a grid whose slices do not match the space."""
+    plans, p, q = plans_of(space)
+    _require_grid(slice_dims, space)
+    pf, qf = float(p), float(q)
+    slices = []
+    start = 0
+    for k, (order, mord, nord, sigma) in enumerate(plans, start=1):
+        axes = tuple(range(start, start + slice_dims[k - 1]))
+        start += len(axes)
+        dx = spacings[k - 1]
+        coeffs = tuple((-1) ** (nord - i) * math.comb(nord, i)
+                       for i in range(nord + 1))
+        r, wq = _radial_nodes(dx, decay_radius)
+        dirs, dweights = _directions(len(axes))
+        shifts = r[:, None] * dirs[:, None, :] / dx
+        square = None if p != 2 else _square_form(shape, axes, shifts, coeffs)
+        slices.append(_SlicePlan(
+            axes, mord, coeffs, _read_only(shifts),
+            _read_only(dweights[:, None] * r ** (-sigma * qf)),
+            _read_only(wq), sum(abs(c) ** pf for c in coeffs),
+            (nord - sigma) * qf,
+            float(np.sum(dweights)) * float(r[-1]) ** (-sigma * qf) /
+            (sigma * qf),
+            {"slice": k, "order": order, "sigma": sigma,
+             "radial_nodes": len(r), "r_range": (float(r[0]), float(r[-1]))},
+            square))
+    return _GridPlan(pf, qf, tuple(slices))
+
+
+def _quadrature(u: GridFunction, plans_of: Callable,
+                space: SpaceDescr) -> SeminormResult:
     """The q-th root of the sum over the slices k of
 
         int_0^oo r^{-sigma q} sum_alpha int_S ||Delta^n_{r e} D^alpha u||_p^q de dr/r
 
     with alpha running over the partial derivatives of total order m along
-    slice k.  Each plan is (order, m, n, sigma) for its slice; ``order``
-    only labels the slice in ``meta``.  At p = 2 all steps come from one
-    autocorrelation per derivative; at any other p each is summed apart.
+    slice k, on the grid's plan from ``_grid_plan``.  At p = 2 all steps
+    come from one autocorrelation per derivative; at any other p each is
+    summed apart.
     """
-    pf, qf = float(p), float(q)
+    plan = _grid_plan(plans_of, space, tuple(u.slice_dims), tuple(u.spacings),
+                      u.samples.shape, float(u.decay_radius))
+    pf, qf = plan.p, plan.q
+    cell = u.cell_volume()
     total = 0.0
     trunc = 0.0
-    meta: dict = {"slices": []}
-    cell = u.cell_volume()
-    for k, (order, mord, nord, sigma) in enumerate(plans, start=1):
-        coeffs = [(-1) ** (nord - i) * math.comb(nord, i)
-                  for i in range(nord + 1)]
-        dx = u.spacings[k - 1]
-        axes = u.slice_axes(k)
-        r, wq = _radial_nodes(dx, u.decay_radius)
-        dirs, dweights = _directions(u.slice_dims[k - 1])
-        weight = r ** (-sigma * qf)
-        g = np.zeros_like(r)
+    for k, sl in enumerate(plan.slices, start=1):
+        g = np.zeros(sl.kernel.shape[1])
         tail_mass = 0.0
-        shifts = r[:, None] * dirs[:, None, :] / dx  # (direction, node, axis)
-        for v in _derivatives(u, k, mord):
-            if p == 2:
-                sums = _difference_square_sums(v, axes, shifts, coeffs)
+        for v in _derivatives(u, k, sl.derivative_order):
+            if sl.square is not None:
+                sums = _difference_square_sums(v, sl.square)
             else:
-                sums = np.array([[_difference_power_sum(v, axes, h, coeffs, pf)
-                                  for h in row] for row in shifts])
-            for row, dw in zip(sums, dweights):
-                g += dw * weight * (row * cell) ** (qf / pf)
-            tail_mass += (sum(abs(c) ** pf for c in coeffs) *
-                          float(np.sum(np.abs(v) ** pf)) * cell) ** (qf / pf)
-        total += float(np.sum(wq * g))
+                sums = np.array([[_difference_power_sum(v, sl.axes, h,
+                                                        sl.coeffs, pf)
+                                  for h in row] for row in sl.shifts])
+            g += np.sum(sl.kernel * (sums * cell) ** (qf / pf), axis=0)
+            tail_mass += (sl.coeff_mass * float(np.sum(np.abs(v) ** pf)) *
+                          cell) ** (qf / pf)
+        total += float(np.sum(sl.node_weights * g))
         # the dropped core behaves like r^{(n - sigma) q}; beyond the last
         # node the shifted supports separate and the integrand decays like
         # r^{-sigma q}
-        trunc += g[0] / ((nord - sigma) * qf) + float(np.sum(dweights)) * \
-            tail_mass * float(r[-1]) ** (-sigma * qf) / (sigma * qf)
-        meta["slices"].append({"slice": k, "order": order, "sigma": sigma,
-                               "radial_nodes": len(r),
-                               "r_range": (float(r[0]), float(r[-1]))})
+        trunc += g[0] / sl.core + sl.tail * tail_mass
     value = total ** (1 / qf)
     err = 0.0 if total == 0 else value * trunc / (qf * total)
-    return SeminormResult(value, err, meta)
+    return SeminormResult(value, err,
+                          {"slices": [dict(sl.meta) for sl in plan.slices]})
 
 
 def _slobodeckij_plans(space: SpaceDescr) -> tuple[list, Fraction, Fraction]:
@@ -329,9 +420,7 @@ def seminorm_slobodeckij(u: GridFunction, space: SpaceDescr) -> SeminormResult:
     differences of the order-[s/w_k] derivatives, at q = p; integer slice
     ratios are outside this formula.
     """
-    plans, p, q = _slobodeckij_plans(space)
-    _require_grid(u, space)
-    return _quadrature(u, plans, p, q)
+    return _quadrature(u, _slobodeckij_plans, space)
 
 
 def _besov_plans(space: SpaceDescr) -> tuple[list, Fraction, Fraction]:
@@ -353,9 +442,7 @@ def _besov_plans(space: SpaceDescr) -> tuple[list, Fraction, Fraction]:
 def seminorm_besov(u: GridFunction, space: SpaceDescr) -> SeminormResult:
     """Iterated-difference seminorm of the Besov scale with micro-scale q:
     differences of order [s/w_k] + 1 on slice k."""
-    plans, p, q = _besov_plans(space)
-    _require_grid(u, space)
-    return _quadrature(u, plans, p, q)
+    return _quadrature(u, _besov_plans, space)
 
 
 def _seminorm_for(space: SpaceDescr

@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import HypothesisViolation, NotIdentifiable, Unsupported
-from .ratcore import (AffineExpr, AffineLike, BreakpointRecorder, ParamEnv,
-                      Rational, from_lowered, render_affine_p,
+from .ratcore import (X, AffineExpr, AffineLike, BreakpointRecorder,
+                      ParamEnv, Rational, from_lowered, render_affine_p,
                       render_fraction)
 
 
@@ -226,7 +226,13 @@ class SpaceDescr:
                 return "oo"
             return str(d) if n == 1 else f"{{{d}/{n}}}"
 
-        p = expo(self.x.constant) if self.x.is_constant else "p"
+        if self.x.is_constant:
+            p = expo(self.x.constant)
+        elif self.x == X:
+            p = "p"
+        else:
+            raise Unsupported(f"no space text for the integrability "
+                              f"reciprocal {render_affine_p(self.x)}")
         w = "(" + ",".join(str(v) for v in self.aniso.weights) + ")"
         val = "" if self.target == SCALARS else f"; {self.target.name}"
         if self.scale is Scale.C0:

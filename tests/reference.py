@@ -167,7 +167,7 @@ def _gaps(ps: ParamSet) -> list[tuple[Fraction, Fraction]]:
 def full_norm(u: GridFunction, space: SpaceDescr) -> float:
     """Lebesgue part plus seminorm, the norm used by the product probes."""
     _, p = normlab._space_params(space)
-    normlab._require_grid(u, space)
+    normlab._require_grid(u.slice_dims, space)
     pf = float(p)
     lp = float((np.sum(np.abs(u.samples) ** pf) * u.cell_volume()) ** (1 / pf))
     if space.scale is Scale.L or (space.s.is_constant and space.s.constant == 0):

@@ -488,6 +488,27 @@ _EXIT_CASES = [
                   "-1/4"], 2, id="realize-negative-rho"),
     pytest.param(["seminorm", "--space", _W, "--freq", "-1/2", "--spacing",
                   "1/10", "--radius", "5"], 0, id="seminorm-negative-freq"),
+    # one symbolic and one concrete operand: the integrability comes out
+    # as neither a constant nor p, which no space text names
+    pytest.param(["interp", "[H^{1,(1)}_p(R^1), H^{1,(1)}_4(R^1)]_{1/2}"], 3,
+                 id="interp-mixed-complex-h"),
+    pytest.param(["interp", "(L^{(1)}_p(R^1), L^{(1)}_4(R^1))_{1/2, p}"], 3,
+                 id="interp-mixed-real-l"),
+    pytest.param(["interp", "[B^{1,(1)}_p_2(R^1), B^{2,(1)}_4(R^1)]_{1/2}"], 3,
+                 id="interp-mixed-complex-b"),
+    # the error column counts in the words as typed, '->' first
+    pytest.param(["embed", "->", "L^{(1)}_2(R^1) ?"], 2,
+                 id="query-words-in-typed-order"),
+    pytest.param(["interp", "[B^{1,(1)}_2(R^1), H^{3,(1)}_2(R^1)]_{1/2}"], 3,
+                 id="interp-complex-b-h"),
+    pytest.param(["interp", "(B^{1,(1)}_2(R^1), H^{3,(1)}_4(R^1))_{1/2,2}"], 3,
+                 id="interp-real-b-h"),
+    pytest.param(["interp", "[B^{1,(1)}_p_2(R^1), B^{3,(1)}_p(R^1)]_{1/2}"], 3,
+                 id="interp-symbolic-micro-scale"),
+    pytest.param(["index", "--prelude", "tests/golden/prelude_bad_alias.txt",
+                  _H], 2, id="prelude-bad-alias"),
+    pytest.param(["nemytskij", "B^{2,(1)}_4_2(R^1) -> B^{2,(1)}_4_2(R^1) ?"],
+                 1, id="nemytskij-besov-micro"),
 ]
 
 # each query command reads only its own kind, and a file named on the
@@ -508,8 +529,10 @@ _WRONG_KIND_OR_MISSING_FILE = [
 
 @pytest.mark.parametrize("args, code",
                          _EXIT_CASES + _WRONG_KIND_OR_MISSING_FILE)
-def test_cli_exit_codes(args, code):
-    # a refusal is one line on stderr, never a traceback (exit 1)
+def test_cli_exit_codes(monkeypatch, args, code):
+    # a refusal is one line on stderr, never a traceback (exit 1); a file
+    # path is relative to the root of the checkout
+    monkeypatch.chdir(GOLDEN.parents[1])
     exit_code, stdout, stderr = run_cli(args)
     assert exit_code == code
     if code >= 2:
@@ -534,8 +557,8 @@ def _pinned_argvs():
     """Each query command on the first golden line of its kind, batch,
     the text reports of the golden lines, one with the rulebook text,
     solved ranges (one with excluded points, one empty), realize,
-    minimize and seminorm, query words split by an option, and the
-    refusals above."""
+    minimize and seminorm, query words split by an option, the refusals
+    above and the Nemytskij gate's early NOT_COVERED."""
     first_of_kind = {}
     for line in _corpus_lines():
         first_of_kind.setdefault(parse_query(line).kind, line)
@@ -558,6 +581,8 @@ def _pinned_argvs():
         ["index", "H^{1,(1)}_2", "--machine", "(R^2)"],
         *_APP_REFUSALS,
         *(case.values[0] for case in _EXIT_CASES if case.values[1] >= 2),
+        # the early NOT_COVERED return of the Nemytskij gate
+        ["nemytskij", "B^{2,(1)}_4_2(R^1) -> B^{2,(1)}_4_2(R^1) ?"],
     ]
 
 

@@ -1,5 +1,6 @@
 """Numerical seminorm probes: quadrature sanity and scaling laws."""
 
+import importlib
 import itertools
 import json
 import math
@@ -19,11 +20,13 @@ from anisocalc.dsl import parse_space
 from anisocalc.errors import ResolutionError, Unsupported, WrongScale
 from anisocalc.normlab import (GaussianSpec, GridFunction,
                                _difference_power_sum, _difference_square_sums,
-                               dilated_seminorms, dilation_scaling_exponent,
-                               seminorm_besov, seminorm_slobodeckij)
+                               _fft_length, _square_form, dilated_seminorms,
+                               dilation_scaling_exponent, seminorm_besov,
+                               seminorm_slobodeckij)
 
 from conftest import run_cli
 from reference import UncoveredInstance, check_product_estimate, full_norm
+from test_dsl import _SEMINORMS
 
 ISO1 = isotropic(1)
 W12 = SpaceDescr.sobolev(F(1, 2), F(1, 2), ISO1, SCALARS, "R^1")
@@ -183,7 +186,8 @@ def test_difference_power_sum_matches_padded_reference(shape, axes, coeffs, p):
         # difference within one cell of a line vanishes exactly (the copies
         # interpolate linearly), and there the form leaves rounding of its
         # size sum(c^2) sum(v^2), where the grid sum leaves its square
-        got = _difference_square_sums(v, axes, np.array(shifts), coeffs)
+        got = _difference_square_sums(
+            v, _square_form(v.shape, axes, np.array(shifts), coeffs))
         assert got.shape == (len(shifts),)
         size = sum(c * c for c in coeffs) * float(np.sum(v ** 2))
         for g, want in zip(got, wants):
@@ -196,7 +200,8 @@ def test_square_sums_are_never_negative():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(200)
     shifts = np.array([[0.5], [-0.5], [0.25], [0.1], [0.0]])
-    assert np.all(_difference_square_sums(v, [0], shifts, (1, -2, 1)) >= 0)
+    form = _square_form(v.shape, [0], shifts, (1, -2, 1))
+    assert np.all(_difference_square_sums(v, form) >= 0)
     u = GridFunction((1,), (0.05,), v, 5.0)
     b = SpaceDescr.besov(F(3, 2), F(1, 2), ISO1, F(1, 3), SCALARS, "R^1")
     assert math.isfinite(seminorm_besov(u, b).value)
@@ -403,13 +408,6 @@ def test_seminorm_meta_slices():
         for k, order, sigma in ((1, 1, 0.75), (2, 2, 1.5))]}
 
 
-def _looped_square_sums(v, axes, shifts, coeffs):
-    """The p = 2 sums one shift at a time on the grid, as at any other p."""
-    flat = shifts.reshape(-1, shifts.shape[-1])
-    return np.array([_difference_power_sum(v, axes, h, coeffs, 2.0)
-                     for h in flat]).reshape(shifts.shape[:-1])
-
-
 @pytest.mark.parametrize("text, spec, spacing, radius", [
     ("W^{3/2,(1)}_2(R^1)", GaussianSpec((1.0,)), 0.05, 8.0),
     ("B^{3/2,(1)}_{2,2}(R^1)", GaussianSpec((1.0,)), 0.05, 8.0),
@@ -419,23 +417,129 @@ def _looped_square_sums(v, axes, shifts, coeffs):
     ("W^{1/2,(1)}_2(R^1)", GaussianSpec((1.0,), (3.0,)), 0.02, 12.0),
 ], ids=["W-derivative", "B-second-difference", "parabolic", "R2", "R3",
         "modulated"])
-def test_square_sums_match_the_grid_sums(monkeypatch, text, spec, spacing,
-                                         radius):
+def test_square_sums_match_the_grid_sums(monkeypatch, fresh_plans, text, spec,
+                                         spacing, radius):
     # the whole seminorm through the autocorrelation against the same
-    # quadrature with every p = 2 sum added up on the grid
+    # quadrature with every p = 2 sum added up on the grid, one shift at a
+    # time as at any other p: a plan without a square form
     space = parse_space(text)
     dims = tuple(space.aniso.dims)
     u = spec.sample(dims, (spacing,) * len(dims), radius)
     semi = seminorm_slobodeckij if text[0] == "W" else seminorm_besov
     fast = semi(u, space)
-    monkeypatch.setattr(normlab, "_difference_square_sums",
-                        _looped_square_sums)
+    normlab._grid_plan.cache_clear()
+    monkeypatch.setattr(normlab, "_square_form", lambda *args: None)
     slow = semi(u, space)
     assert fast.meta == slow.meta
     assert abs(fast.value - slow.value) <= 1e-10 * slow.value
     assert abs(fast.truncation_error_estimate -
                slow.truncation_error_estimate) <= \
         1e-10 * slow.truncation_error_estimate
+
+
+def _five_smooth_length(m):
+    """The padding rule before radix-2 lengths: the smallest 2^a 3^b 5^c
+    >= m (n divides a power of 30 exactly when it has no other prime)."""
+    return next(n for n in itertools.count(m) if 30 ** n.bit_length() % n == 0)
+
+
+def _radix_two(n):
+    """Whether n is 2^a, 3 2^a or 5 2^a."""
+    return n >> ((n & -n).bit_length() - 1) in (1, 3, 5)
+
+
+def test_fft_length_is_the_least_radix_two_length():
+    for m in range(1, 5000):
+        n = _fft_length(m)
+        assert _radix_two(n) and m <= n < 4 * m / 3, m
+        assert not any(_radix_two(k) for k in range(m, n)), m
+
+
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache, and none left behind for the next test."""
+    normlab._grid_plan.cache_clear()
+    yield
+    normlab._grid_plan.cache_clear()
+
+
+@pytest.fixture
+def lab_fits(monkeypatch):
+    """perfbench's seminorm-lab fits by seed, and a fit's table."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] /
+                                    "perfbench"))
+    corpus = importlib.import_module("corpus")
+
+    def table(fit):
+        return dilated_seminorms(
+            fit.space(), GaussianSpec(tuple(float(v) for v in fit.sigmas)),
+            [float(v) for v in fit.lambdas],
+            (float(fit.spacing),) * len(fit.dims), float(fit.radius))
+    return corpus.lab_fits, table
+
+
+def test_a_fit_builds_each_slice_plan_once(monkeypatch, fresh_plans,
+                                           lab_fits):
+    # the five dilations of a 1-D fit and the three of the 2-D fit share
+    # their grid's plan: one set of copies per slice, not per dilation
+    fits, table = lab_fits
+    calls = []
+    copies = normlab._copies
+    monkeypatch.setattr(normlab, "_copies",
+                        lambda *args: calls.append(args) or copies(*args))
+    one_d, two_d = fits(1)[0], fits(1)[3]
+    assert (len(one_d.lambdas), len(two_d.lambdas), len(two_d.dims)) == \
+        (5, 3, 2)
+    table(one_d)
+    assert len(calls) == 1
+    table(two_d)
+    assert len(calls) == 1 + 2
+
+
+def test_cached_plans_are_read_only(fresh_plans):
+    u = _gauss()
+    first = seminorm_slobodeckij(u, W12)
+    first.meta["slices"][0]["order"] = 99
+    plan = normlab._grid_plan(normlab._slobodeckij_plans, W12, u.slice_dims,
+                              u.spacings, u.samples.shape, u.decay_radius)
+    assert normlab._grid_plan.cache_info().hits == 1
+    (sl,) = plan.slices
+    for a in (sl.shifts, sl.kernel, sl.node_weights, sl.square.index,
+              sl.square.pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+    assert seminorm_slobodeckij(u, W12).meta["slices"][0]["order"] == 0
+
+
+def test_radix_two_lengths_match_the_five_smooth_ones(monkeypatch,
+                                                      fresh_plans, lab_fits):
+    # the lab's fits at seeds 1-3 and the pinned CLI values, each at the
+    # old padding and at the new; the two differ on both lab grids.  The
+    # pinned Besov second differences cancel in the Gram form down to a
+    # few 1e-12 of its value (the old lengths already missed the grid
+    # sums by 4e-12), so the CLI values get 1e-11
+    fits, table = lab_fits
+    assert [_five_smooth_length(2 * n - 1) for n in (241, 2001)] == [486, 4050]
+    assert [_fft_length(2 * n - 1) for n in (241, 2001)] == [512, 4096]
+
+    def values():
+        normlab._grid_plan.cache_clear()
+        rows = [v for seed in (1, 2, 3) for fit in fits(seed)
+                for _, v in table(fit)]
+        pinned = []
+        for argv in _SEMINORMS:
+            code, stdout, stderr = run_cli([*argv, "--machine"])
+            assert code == 0, stderr
+            pinned.append(json.loads(stdout)["value"])
+        return rows, pinned
+
+    new = values()
+    monkeypatch.setattr(normlab, "_fft_length", _five_smooth_length)
+    old = values()
+    assert (len(new[0]), len(new[1])) == (3 * (5 + 5 + 5 + 3), 4)
+    for (news, olds), tol in zip(zip(new, old), (1e-12, 1e-11)):
+        for a, b in zip(news, olds):
+            assert abs(a - b) <= tol * b
 
 
 def test_cli_table_equals_library_fit():

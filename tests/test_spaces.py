@@ -130,6 +130,14 @@ def test_micro_scale_only_for_besov():
                    isotropic(1), SCALARS, "R")
 
 
+def test_space_text_refuses_an_integrability_it_cannot_write():
+    # the grammar writes a symbolic integrability only as p
+    assert str(SpaceDescr.bessel(F(1), X, isotropic(1))) == "H^{1,(1)}_p(R^n)"
+    mixed = SpaceDescr.bessel(F(1), X * F(1, 2) + F(1, 8), isotropic(1))
+    with pytest.raises(Unsupported, match="1/8 [+] 1/2p"):
+        str(mixed)
+
+
 def test_valued_target_tag():
     t = lp_valued("Rdot")
     assert t.umd and t.prop_alpha and not t.banach_algebra
