@@ -408,6 +408,14 @@ def test_seminorm_meta_slices():
         for k, order, sigma in ((1, 1, 0.75), (2, 2, 1.5))]}
 
 
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache, and none left behind for the next test."""
+    normlab._grid_plan.cache_clear()
+    yield
+    normlab._grid_plan.cache_clear()
+
+
 @pytest.mark.parametrize("text, spec, spacing, radius", [
     ("W^{3/2,(1)}_2(R^1)", GaussianSpec((1.0,)), 0.05, 8.0),
     ("B^{3/2,(1)}_{2,2}(R^1)", GaussianSpec((1.0,)), 0.05, 8.0),
@@ -453,14 +461,6 @@ def test_fft_length_is_the_least_radix_two_length():
         n = _fft_length(m)
         assert _radix_two(n) and m <= n < 4 * m / 3, m
         assert not any(_radix_two(k) for k in range(m, n)), m
-
-
-@pytest.fixture
-def fresh_plans():
-    """An empty plan cache, and none left behind for the next test."""
-    normlab._grid_plan.cache_clear()
-    yield
-    normlab._grid_plan.cache_clear()
 
 
 @pytest.fixture
@@ -516,8 +516,8 @@ def test_radix_two_lengths_match_the_five_smooth_ones(monkeypatch,
     # the lab's fits at seeds 1-3 and the pinned CLI values, each at the
     # old padding and at the new; the two differ on both lab grids.  The
     # pinned Besov second differences cancel in the Gram form down to a
-    # few 1e-12 of its value (the old lengths already missed the grid
-    # sums by 4e-12), so the CLI values get 1e-11
+    # few 1e-12 of its value (it misses the grid sums by 1e-12 to 4e-12
+    # at either length), so the CLI values get 1e-11
     fits, table = lab_fits
     assert [_five_smooth_length(2 * n - 1) for n in (241, 2001)] == [486, 4050]
     assert [_fft_length(2 * n - 1) for n in (241, 2001)] == [512, 4096]
